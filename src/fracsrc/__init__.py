@@ -28,6 +28,7 @@ from .pipeline import (
 from .regularize import (
     FilterKind,
     RegParams,
+    attenuation,
     choose_mu,
     const_cap_n,
     const_m,
@@ -50,12 +51,14 @@ from .spectral import (
 )
 from .symbols import (
     MediumParams,
+    decay_exponent,
     forward_kernel,
     frac_power,
     inverse_symbol,
     lambda_envelope,
     sym_h,
     sym_z,
+    symbol_tables,
 )
 
 __version__ = "0.1.0"
@@ -78,11 +81,13 @@ __all__ = [
     "TimeGrid",
     "add_noise",
     "apply_multiplier",
+    "attenuation",
     "cell_seed",
     "choose_mu",
     "const_cap_n",
     "const_m",
     "const_n",
+    "decay_exponent",
     "delta_max_rule",
     "dft",
     "error_bound",
@@ -106,5 +111,6 @@ __all__ = [
     "run_sweep",
     "sym_h",
     "sym_z",
+    "symbol_tables",
     "synthesize_data",
 ]

@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .pipeline import ESTIMATOR_LABELS, CellResult, ErrorRow, run_sweep, synthesize_data
 from .spectral import RealSignal, SymmetryError, TimeGrid
 from .symbols import MediumParams
@@ -197,16 +199,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     times = grid.times()
     y = synthesize_data(f_true, cfg.params)
     selected = _selected(cfg.filters)
+    header = ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected])
     for cell in cells:
         signal_path = cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv"
-        header = ["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected]
-        body = []
-        for k in range(grid.n):
-            row = [_fmt(times[k]), _fmt(f_true.samples[k]), _fmt(y.samples[k]),
-                   _fmt(cell.y_noisy.samples[k])]
-            row.extend(_fmt(cell.estimates[label].samples[k]) for label in selected)
-            body.append(row)
-        _write_csv(signal_path, header, body)
+        columns = np.column_stack(
+            [times, f_true.samples, y.samples, cell.y_noisy.samples]
+            + [cell.estimates[label].samples for label in selected]
+        )
+        with signal_path.open("w") as fh:
+            fh.write(header + "\n")
+            for row in columns:
+                fh.write(",".join([f"{v:.17g}" for v in row.tolist()]) + "\n")
         files.append(signal_path)
 
     return ExperimentReport(

@@ -8,6 +8,11 @@ with an integer derived deterministically from ``(master_seed, noise-level
 index, seed identifier)`` via ``numpy.random.SeedSequence``; results are
 therefore bit-reproducible regardless of execution order.
 
+The multiplier tables (``Lambda`` and ``G(x0, .)`` on the grid's bins) depend
+only on the medium and the grid, so they are sampled once per
+``(MediumParams, TimeGrid)`` pair and shared, read-only, by every cell and
+estimator; each filter table is ``Lambda`` times its real attenuation.
+
 Noise-free runs substitute the stand-in level ``DELTA_FLOOR`` for the
 realized zero so the parameter rule stays defined; the value is small enough
 that every filter family's attenuation is negligible across any admissible
@@ -16,14 +21,25 @@ grid, making the regularized path consistent with the exact inversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .regularize import FilterKind, RegParams, choose_mu, error_bound, filter_value
-from .spectral import RealSignal, apply_multiplier, dft, hp_norm, idft, l2_norm
-from .symbols import MediumParams, forward_kernel, inverse_symbol
+from .regularize import FilterKind, RegParams, attenuation, choose_mu, error_bound
+from .spectral import (
+    RealSignal,
+    TimeGrid,
+    apply_multiplier,
+    dft,
+    hp_norm,
+    idft,
+    l2_norm,
+    multiplier_values,
+)
+from .symbols import MediumParams, symbol_tables
 
 __all__ = [
     "DELTA_FLOOR",
@@ -91,10 +107,28 @@ class CellResult:
     rows: tuple[ErrorRow, ...]
 
 
+class _Tables(NamedTuple):
+    """Read-only tables on one grid's bins for one medium."""
+
+    xi: np.ndarray
+    inverse: np.ndarray  # Lambda
+    kernel: np.ndarray  # G(x0, .)
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
+    """Tables for one (medium, grid); a sweep needs one entry, the bound caps memory."""
+    xi = grid.frequencies()
+    inverse, kernel = symbol_tables(xi, params)
+    tables = _Tables(xi, multiplier_values(grid, inverse), multiplier_values(grid, kernel))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def synthesize_data(f: RealSignal, params: MediumParams) -> RealSignal:
     """Exact measurement at the sensor: ``y`` with ``y_hat = G(x0, .) f_hat``."""
-    spectrum = apply_multiplier(dft(f), lambda xi: forward_kernel(params.x0, xi, params))
-    return idft(spectrum)
+    return idft(apply_multiplier(dft(f), _tables(params, f.grid).kernel))
 
 
 def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
@@ -115,7 +149,7 @@ def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:
 
     Exact on noise-free data; amplifies high-frequency noise otherwise.
     """
-    return idft(apply_multiplier(dft(y_noisy), lambda xi: inverse_symbol(xi, params)))
+    return idft(apply_multiplier(dft(y_noisy), _tables(params, y_noisy.grid).inverse))
 
 
 def invert_regularized(
@@ -128,10 +162,9 @@ def invert_regularized(
 ) -> tuple[RealSignal, float]:
     """Filtered inversion with the a priori parameter rule; returns (estimate, mu)."""
     mu = choose_mu(delta, delta_max, p)
-    estimate = idft(
-        apply_multiplier(dft(y_noisy), lambda xi: filter_value(kind, xi, mu, params))
-    )
-    return estimate, mu
+    tables = _tables(params, y_noisy.grid)
+    filtered = tables.inverse * attenuation(kind, tables.xi, mu)
+    return idft(apply_multiplier(dft(y_noisy), filtered)), mu
 
 
 def relative_error(f_est: RealSignal, f_true: RealSignal) -> float:

@@ -41,12 +41,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .symbols import MediumParams, inverse_symbol
+import numpy as np
+
+from .symbols import MediumParams, decay_exponent, inverse_symbol
 
 __all__ = [
     "FilterKind",
     "RegParams",
     "filter_value",
+    "attenuation",
     "choose_mu",
     "const_n",
     "const_cap_n",
@@ -106,6 +109,20 @@ def filter_value(kind: FilterKind, xi: float, mu: float, params: MediumParams) -
     return inverse_symbol(xi, params) * _attenuation(kind, xi, mu)
 
 
+def attenuation(kind: FilterKind, xi: np.ndarray, mu: float) -> np.ndarray:
+    """Real attenuation factor ``R_mu(xi) / Lambda(xi)`` over an array of frequencies.
+
+    The array form of the factor inside :func:`filter_value`, which stays the
+    scalar reference.  Real and in ``[0, 1]``, so multiplying a sampled
+    ``Lambda`` by it keeps a real Nyquist gain real.
+    """
+    if kind is FilterKind.RATIONAL2:
+        return 1.0 / (1.0 + mu * mu * xi * xi)
+    if kind is FilterKind.RATIONAL4:
+        return 1.0 / (1.0 + mu * mu * xi**4)
+    return np.exp(-mu * mu * xi * xi / 4.0)
+
+
 def choose_mu(delta: float, delta_max: float, p: float) -> float:
     """A priori parameter rule ``mu = (delta / delta_max)^(1/(p+2))``.
 
@@ -143,10 +160,7 @@ def const_n(kind: FilterKind, alpha: float) -> float:
 
 def const_cap_n(params: MediumParams) -> float:
     """Denominator decay exponent ``N = (x0/2 omega)(-beta + sqrt(beta^2 + 4 omega nu))``."""
-    return (params.x0 / (2.0 * params.omega)) * (
-        -params.beta
-        + math.sqrt(params.beta * params.beta + 4.0 * params.omega * params.nu)
-    )
+    return decay_exponent(params)
 
 
 def const_m(kind: FilterKind, alpha: float, params: MediumParams) -> float:

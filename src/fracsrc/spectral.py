@@ -12,18 +12,18 @@ Conventions, fixed once and used everywhere:
   per frequency bin.  With this pairing the discrete Parseval identity
   ``l2_norm(s)^2 == sum_k dxi |dft(s)_k|^2`` holds exactly (up to rounding).
 
-Multipliers (transfer functions sampled on the bin frequencies) are applied
-through :func:`apply_multiplier`, which forces a real gain on the Nyquist
-bin: that bin aliases the pair ``+-pi/dt``, a real signal cannot carry phase
-there, and using the modulus keeps reciprocal symbol pairs exactly inverse
-to each other through a forward/backward round trip.
+Multipliers (transfer functions sampled on the bin frequencies) become
+tables through :func:`multiplier_values`, which forces a real gain on the
+Nyquist bin: that bin aliases the pair ``+-pi/dt``, a real signal cannot
+carry phase there, and using the modulus keeps reciprocal symbol pairs
+exactly inverse to each other through a forward/backward round trip.
+:func:`apply_multiplier` multiplies a spectrum by such a table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -176,18 +176,24 @@ def hp_norm(spectrum: Spectrum, p: float) -> float:
     )
 
 
-def multiplier_values(grid: TimeGrid, fn: Callable[[float], complex]) -> np.ndarray:
-    """Sample a scalar symbol on the bin frequencies of ``grid``.
+def multiplier_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """Turn a symbol sampled on ``grid.frequencies()`` into a multiplier table.
 
-    The Nyquist bin of an even-length grid is replaced by the symbol's
-    modulus there (see the module docstring for why a real gain is required).
+    Returns a complex copy of ``values`` whose Nyquist bin is replaced by its
+    modulus (see the module docstring for why a real gain is required).
     """
-    values = np.array([fn(float(xi)) for xi in grid.frequencies()], dtype=complex)
+    table = np.array(values, dtype=complex)
+    if table.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} symbol values, got shape {table.shape}")
     half = grid.n // 2
-    values[half] = abs(values[half])
-    return values
+    table[half] = abs(table[half])
+    return table
 
 
-def apply_multiplier(spectrum: Spectrum, fn: Callable[[float], complex]) -> Spectrum:
-    """Multiply a spectrum bin-wise by a sampled symbol."""
-    return Spectrum(spectrum.grid, spectrum.coeffs * multiplier_values(spectrum.grid, fn))
+def apply_multiplier(spectrum: Spectrum, values: np.ndarray) -> Spectrum:
+    """Multiply a spectrum bin-wise by a table from :func:`multiplier_values`."""
+    if np.shape(values) != spectrum.coeffs.shape:
+        raise ValueError(
+            f"expected {spectrum.grid.n} multiplier values, got shape {np.shape(values)}"
+        )
+    return Spectrum(spectrum.grid, spectrum.coeffs * values)

@@ -1,7 +1,9 @@
 """Frequency-domain symbols of the fractional convection-diffusion-reaction operator.
 
-Every function here is an exact, pure, scalar evaluation in the frequency
-variable ``xi``.  The building blocks are
+The scalar functions here are exact, pure evaluations in the frequency
+variable ``xi``; :func:`symbol_tables` evaluates the same formulas over a
+whole NumPy array of frequencies, and the scalar functions are its tested
+reference.  The building blocks are
 
     z(xi)  = nu + (i xi)^alpha
     h(xi)  = (-beta + sqrt(beta^2 + 4 omega z(xi))) / (2 omega)
@@ -26,6 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "MediumParams",
     "frac_power",
@@ -33,6 +37,8 @@ __all__ = [
     "sym_h",
     "inverse_symbol",
     "forward_kernel",
+    "symbol_tables",
+    "decay_exponent",
     "lambda_envelope",
 ]
 
@@ -138,6 +144,36 @@ def forward_kernel(x: float, xi: float, params: MediumParams) -> complex:
     return (1.0 - cmath.exp(-h * x)) / z
 
 
+def symbol_tables(xi: np.ndarray, params: MediumParams) -> tuple[np.ndarray, np.ndarray]:
+    """``inverse_symbol`` and ``forward_kernel(x0, .)`` over an array of frequencies.
+
+    Both tables come from one evaluation of ``z``, ``h`` and ``exp(-h x0)``
+    on the pinned branch.  They agree with the scalar functions to rounding,
+    not bit for bit: NumPy's complex square root, exponential and division
+    round differently from :mod:`cmath`'s.
+    """
+    xi = np.asarray(xi, dtype=float)
+    half = 0.5 * params.alpha * math.pi
+    mag = np.abs(xi) ** params.alpha
+    im = mag * math.sin(half)
+    z = (params.nu + mag * math.cos(half)) + 1j * np.where(xi < 0.0, -im, im)
+    radicand = params.beta * params.beta + 4.0 * params.omega * z
+    h = (-params.beta + np.sqrt(radicand)) / (2.0 * params.omega)
+    gap = 1.0 - np.exp(-h * params.x0)
+    return z / gap, gap / z
+
+
+def decay_exponent(params: MediumParams) -> float:
+    """``N = (x0 / 2 omega)(-beta + sqrt(beta^2 + 4 omega nu))``, the value of ``x0 h(0)``.
+
+    ``exp(-N)`` is the largest modulus of ``exp(-h(xi) x0)`` over real ``xi``.
+    """
+    return (params.x0 / (2.0 * params.omega)) * (
+        -params.beta
+        + math.sqrt(params.beta * params.beta + 4.0 * params.omega * params.nu)
+    )
+
+
 def lambda_envelope(xi: float, params: MediumParams) -> tuple[float, float]:
     """Analytic lower/upper envelope of ``|inverse_symbol(xi)|``.
 
@@ -156,8 +192,5 @@ def lambda_envelope(xi: float, params: MediumParams) -> tuple[float, float]:
         -params.beta + cmath.sqrt(radicand).real
     )
     lower = abs(z) / (1.0 + math.exp(-re_exponent))
-    cap_n = (params.x0 / (2.0 * params.omega)) * (
-        -params.beta + math.sqrt(params.beta * params.beta + 4.0 * params.omega * params.nu)
-    )
-    upper = (params.nu + abs(xi) ** params.alpha) / (1.0 - math.exp(-cap_n))
+    upper = (params.nu + abs(xi) ** params.alpha) / (1.0 - math.exp(-decay_exponent(params)))
     return lower, upper

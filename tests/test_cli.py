@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracsrc.cli as cli
+import fracsrc.pipeline as pipeline
 from fracsrc.cli import (
     ConfigError,
     ExperimentConfig,
@@ -130,6 +135,32 @@ class TestMainExitCodes:
         assert rc == 3
         assert "guard failure" in capsys.readouterr().err
 
+    def test_guard_failure_inside_idft_exits_three(self, tmp_path, monkeypatch, capsys):
+        real_tables = pipeline._tables
+
+        def rotated_bin(params, grid):
+            tables = real_tables(params, grid)
+            inverse = tables.inverse.copy()
+            inverse[1] *= 1j  # bin 1 no longer mirrors bin n-1
+            return tables._replace(inverse=inverse)
+
+        monkeypatch.setattr(pipeline, "_tables", rotated_bin)
+        rc = main(["run", "--example", "1", "--n", "64", "--eps", "0.1", "--seeds", "1",
+                   "--filters", "naive", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "guard failure:" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fracsrc", "run", "--example", "1",
+             "--n", "8", "--eps", "0.1", "--seeds", "1", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "errors.csv").exists()
+
 
 class TestRunExperiment:
     def run_tiny(self, tmp_path, **overrides):
@@ -218,6 +249,23 @@ class TestRunExperiment:
         assert set(report.summary[0]) == {"epsilon", "r1", "naive"}
         assert all(path.exists() for path in report.files)
 
+    def test_signals_rows_hold_the_report_samples(self, tmp_path):
+        cfg = ExperimentConfig(
+            params=EX1_PARAMS, n=64, t_max=10.0, pad_factor=1, source="square",
+            p=1.0, eps_list=(0.1,), seed_ids=(3,), filters=("naive", "r1"),
+            master_seed=5, out_dir=tmp_path,
+        )
+        cell = run_experiment(cfg).cells[0]
+        lines = (tmp_path / "signals_0.1_3.csv").read_text().splitlines()
+        assert lines[0] == "t,f_true,y,y_noisy,f_naive,f_r1"
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(field == f"{float(field):.17g}" for row in rows for field in row)
+        columns = np.array(rows, dtype=float).T
+        assert np.array_equal(columns[0], cfg.grid().times())
+        assert np.array_equal(columns[3], cell.y_noisy.samples)
+        assert np.array_equal(columns[4], cell.estimates["naive"].samples)
+        assert np.array_equal(columns[5], cell.estimates["r1"].samples)
+
 
 class TestGoldenFile:
     # Frozen output of one tiny run.  The noise values pin the PCG64
@@ -226,7 +274,7 @@ class TestGoldenFile:
     GOLDEN_ERRORS = """\
 epsilon,seed,filter,mu,delta,delta_max,rel_err,theory_bound
 0.10000000000000001,0,naive,,0.28630907706272735,1.2863090770627275,0.27559239571936234,
-0.10000000000000001,0,r1,0.60603344793802205,0.28630907706272735,1.2863090770627275,0.36710768007239369,21.136278209371429
+0.10000000000000001,0,r1,0.60603344793802205,0.28630907706272735,1.2863090770627275,0.36710768007239358,21.136278209371429
 0.10000000000000001,0,r2,0.60603344793802205,0.28630907706272735,1.2863090770627275,0.46969748785332444,21.851436731894886
 0.10000000000000001,0,r3,0.60603344793802205,0.28630907706272735,1.2863090770627275,0.21452188249068035,23.92254746144987
 """

@@ -6,6 +6,7 @@ import pytest
 from fracsrc.cli import preset_source
 from fracsrc.pipeline import (
     DELTA_FLOOR,
+    _tables,
     NoiseSpec,
     add_noise,
     cell_seed,
@@ -17,7 +18,7 @@ from fracsrc.pipeline import (
     run_sweep,
     synthesize_data,
 )
-from fracsrc.regularize import FilterKind
+from fracsrc.regularize import FilterKind, attenuation
 from fracsrc.spectral import RealSignal, TimeGrid, dft, hp_norm, l2_norm
 from fracsrc.symbols import MediumParams, forward_kernel
 
@@ -83,6 +84,25 @@ class TestAddNoise:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseSpec(-0.1, 0)
+
+
+class TestTables:
+    @pytest.mark.parametrize("params", [EX1, EX2])
+    @pytest.mark.parametrize("grid", [GRID, TimeGrid(8, 10.0), TimeGrid(4096, 160.0)])
+    def test_nyquist_gain_of_every_table_is_real(self, params, grid):
+        tables = _tables(params, grid)
+        half = grid.n // 2
+        filtered = [tables.inverse * attenuation(kind, tables.xi, 0.5) for kind in FilterKind]
+        for table in (tables.inverse, tables.kernel, *filtered):
+            assert table[half].imag == 0.0
+            assert table[half].real > 0.0
+
+    def test_shared_and_read_only(self):
+        tables = _tables(EX1, TimeGrid(256, 10.0))
+        assert _tables(EX1, GRID) is tables
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestSynthesize:

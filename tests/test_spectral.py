@@ -164,18 +164,25 @@ class TestNorms:
 
 class TestMultipliers:
     def test_nyquist_gain_forced_real(self):
-        values = multiplier_values(GRID, lambda xi: complex(0.3, -1.7))
+        values = multiplier_values(GRID, np.full(GRID.n, complex(0.3, -1.7)))
         nyquist = values[GRID.n // 2]
         assert nyquist.imag == 0.0
         assert nyquist.real == pytest.approx(abs(complex(0.3, -1.7)), rel=1e-15)
 
     def test_identity_multiplier_round_trips(self):
         signal = random_signal(seed=17)
-        back = idft(apply_multiplier(dft(signal), lambda xi: 1.0 + 0j))
+        back = idft(apply_multiplier(dft(signal), multiplier_values(GRID, np.ones(GRID.n))))
         assert np.max(np.abs(back.samples - signal.samples)) < 1e-12
 
     def test_reciprocal_pair_is_exact(self):
         signal = random_signal(seed=19)
-        forward = apply_multiplier(dft(signal), lambda xi: complex(2.0, xi / 50.0))
-        back = idft(apply_multiplier(forward, lambda xi: 1.0 / complex(2.0, xi / 50.0)))
+        symbol = 2.0 + 1j * GRID.frequencies() / 50.0
+        forward = apply_multiplier(dft(signal), multiplier_values(GRID, symbol))
+        back = idft(apply_multiplier(forward, multiplier_values(GRID, 1.0 / symbol)))
         assert np.max(np.abs(back.samples - signal.samples)) < 1e-12
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            multiplier_values(GRID, np.ones(GRID.n - 1))
+        with pytest.raises(ValueError):
+            apply_multiplier(dft(random_signal()), np.ones(1))

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsrc.regularize import FilterKind, attenuation, filter_value
+from fracsrc.spectral import TimeGrid
 from fracsrc.symbols import (
     MediumParams,
     forward_kernel,
     frac_power,
     inverse_symbol,
     lambda_envelope,
+    symbol_tables,
     sym_h,
     sym_z,
 )
@@ -162,6 +165,41 @@ class TestForwardKernel:
                 float(xi), params
             )
             assert abs(product - 1.0) < 1e-12
+
+
+class TestSymbolTables:
+    # NumPy's complex sqrt, exp and division round differently from cmath's,
+    # so the tables match the scalar oracle to a few ulps, not bit for bit.
+    REL = 1e-12
+
+    @given(
+        params=params_strategy(),
+        n=st.sampled_from([8, 64, 256, 1024]),
+        t_max=st.floats(min_value=0.1, max_value=100.0),
+        mu=st.floats(min_value=1e-3, max_value=0.999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tables_match_scalar_oracle(self, params, n, t_max, mu):
+        xi = TimeGrid(n, t_max).frequencies()
+        inverse, kernel = symbol_tables(xi, params)
+        expected_inverse = np.array([inverse_symbol(float(v), params) for v in xi])
+        expected_kernel = np.array([forward_kernel(params.x0, float(v), params) for v in xi])
+        assert np.all(np.abs(inverse - expected_inverse) <= self.REL * np.abs(expected_inverse))
+        assert np.all(np.abs(kernel - expected_kernel) <= self.REL * np.abs(expected_kernel))
+        for kind in FilterKind:
+            table = inverse * attenuation(kind, xi, mu)
+            expected = np.array([filter_value(kind, float(v), mu, params) for v in xi])
+            # a Gaussian gain can underflow; relative error means nothing there
+            normal = np.abs(expected) >= np.finfo(float).tiny
+            assert np.all(
+                np.abs(table - expected)[normal] <= self.REL * np.abs(expected[normal])
+            )
+            assert np.all(np.abs(table[~normal]) < np.finfo(float).tiny)
+
+    def test_sensor_values(self):
+        inverse, kernel = symbol_tables(np.array([0.0]), EX1)
+        assert_close(inverse[0], 2.541494082536798)
+        assert_close(kernel[0], 0.39346934028736658)
 
 
 class TestLambdaEnvelope:
