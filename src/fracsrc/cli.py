@@ -8,9 +8,13 @@ and writes three kinds of plain-CSV files into the output directory:
 * ``signals_<eps>_<seed>.csv``  plot-ready dump of the true source, the
   clean and noisy measurements, and every selected reconstruction.
 
-Floats are serialized with 17 significant digits, so identical
-configurations produce byte-identical files.  Exit codes: 0 on success, 2 on
-configuration errors, 3 when an internal consistency guard fires.
+Every run setting is declared once, in :data:`SETTINGS`; its flag, its JSON
+config key and its parsing all come from that entry.  Floats are serialized
+with 17 significant digits, so identical configurations produce
+byte-identical files.  Exit codes: 0 on success, 2 on configuration errors,
+3 when an internal consistency guard fires during the run (a
+:class:`SymmetryError`, or a numeric precondition of the library raising
+``ValueError``, such as a noise level whose realized norm overflows).
 """
 
 from __future__ import annotations
@@ -19,12 +23,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .pipeline import ESTIMATOR_LABELS, CellResult, ErrorRow, run_sweep, synthesize_data
+from .pipeline import ESTIMATOR_LABELS, CellResult, ErrorRow, _tables, run_sweep
+from .regularize import FilterKind
 from .spectral import RealSignal, SymmetryError, TimeGrid
 from .symbols import MediumParams
 
@@ -36,11 +43,6 @@ __all__ = [
     "run_experiment",
     "main",
 ]
-
-DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
-DEFAULT_MASTER_SEED = 12345
-DEFAULT_FILTERS = ("r1", "r2", "r3")
-SUMMARY_COLUMN_ORDER = ("r1", "r2", "r3", "naive")
 
 EXAMPLE_PRESETS = {
     1: {
@@ -80,8 +82,20 @@ class ExperimentConfig:
         for eps in self.eps_list:
             if not (math.isfinite(eps) and eps >= 0.0):
                 raise ConfigError(f"noise levels must be nonnegative, got {eps!r}")
+        # signals files are named by the level's 6-digit form
+        labels = {f"{eps:g}" for eps in self.eps_list}
+        if min(len(labels), len(set(self.eps_list))) < len(self.eps_list):
+            raise ConfigError(
+                f"noise levels must differ in 6 significant digits, got {self.eps_list}"
+            )
         if not self.seed_ids:
             raise ConfigError("seed list must not be empty")
+        if len(set(self.seed_ids)) < len(self.seed_ids) or min(self.seed_ids) < 0:
+            raise ConfigError(
+                f"seed identifiers must be distinct and nonnegative, got {self.seed_ids}"
+            )
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be nonnegative, got {self.master_seed}")
         if not self.filters:
             raise ConfigError("filter set must not be empty")
         for label in self.filters:
@@ -94,9 +108,16 @@ class ExperimentConfig:
         if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
             raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
         try:
-            self.grid()
+            grid = self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the run reuses these cached tables
+        tables = _tables(self.params, grid)
+        if not (np.isfinite(tables.inverse).all() and np.isfinite(tables.kernel).all()
+                and tables.kernel.all()):
+            raise ConfigError(
+                f"Lambda or G(x0, .) is not finite and nonzero for {self.params} on {grid}"
+            )
 
     def grid(self) -> TimeGrid:
         """Sampling grid, window and sample count scaled by the pad factor."""
@@ -140,14 +161,12 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _selected(filters: tuple[str, ...]) -> list[str]:
-    return [label for label in ESTIMATOR_LABELS if label in filters]
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Stream a header and rows of formatted fields to ``path``."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -155,32 +174,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     grid = cfg.grid()
     f_true = preset_source(cfg.source, grid)
     cells = run_sweep(
-        f_true,
-        cfg.params,
-        cfg.p,
-        cfg.eps_list,
-        cfg.seed_ids,
-        tuple(_selected(cfg.filters)),
-        cfg.master_seed,
+        f_true, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed
     )
     rows = tuple(row for cell in cells for row in cell.rows)
+    # naive first in errors and signals, as run_cell orders estimates; last in summary
+    selected = list(cells[0].estimates)
+    summary_labels = sorted(selected, key="naive".__eq__)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create {cfg.out_dir}: {exc}") from exc
+    files = [cfg.out_dir / "errors.csv", cfg.out_dir / "summary.csv"]
 
-    errors_path = cfg.out_dir / "errors.csv"
     _write_csv(
-        errors_path,
+        files[0],
         ["epsilon", "seed", "filter", "mu", "delta", "delta_max", "rel_err", "theory_bound"],
-        [
+        (
             [_fmt(r.epsilon), str(r.seed), r.filter, _fmt(r.mu), _fmt(r.delta),
              _fmt(r.delta_max), _fmt(r.rel_err), _fmt(r.theory_bound)]
             for r in rows
-        ],
+        ),
     )
-    files.append(errors_path)
 
-    summary_labels = [label for label in SUMMARY_COLUMN_ORDER if label in cfg.filters]
     summary = []
     for epsilon in cfg.eps_list:
         entry: dict = {"epsilon": epsilon}
@@ -188,28 +204,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             errs = [r.rel_err for r in rows if r.epsilon == epsilon and r.filter == label]
             entry[label] = sum(errs) / len(errs)
         summary.append(entry)
-    summary_path = cfg.out_dir / "summary.csv"
     _write_csv(
-        summary_path,
+        files[1],
         ["epsilon"] + [f"rel_err_{label}" for label in summary_labels],
-        [[_fmt(e["epsilon"])] + [_fmt(e[label]) for label in summary_labels] for e in summary],
+        ([_fmt(e["epsilon"])] + [_fmt(e[label]) for label in summary_labels] for e in summary),
     )
-    files.append(summary_path)
 
     times = grid.times()
-    y = synthesize_data(f_true, cfg.params)
-    selected = _selected(cfg.filters)
-    header = ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected])
+    header = ["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected]
     for cell in cells:
         signal_path = cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv"
         columns = np.column_stack(
-            [times, f_true.samples, y.samples, cell.y_noisy.samples]
+            [times, f_true.samples, cell.y.samples, cell.y_noisy.samples]
             + [cell.estimates[label].samples for label in selected]
         )
-        with signal_path.open("w") as fh:
-            fh.write(header + "\n")
-            for row in columns:
-                fh.write(",".join([f"{v:.17g}" for v in row.tolist()]) + "\n")
+        _write_csv(signal_path, header, ([f"{v:.17g}" for v in row.tolist()] for row in columns))
         files.append(signal_path)
 
     return ExperimentReport(
@@ -218,125 +227,123 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
+# Parsers take a flag's text or a JSON value; they raise TypeError or
+# ValueError, which _parse reports as a ConfigError naming the key.
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _list(item: Callable) -> Callable:
+    """Parser of a JSON list, or of comma-separated text, of ``item`` values."""
+
+    def parse(value) -> tuple:
+        if isinstance(value, str):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        elif not isinstance(value, list):
+            raise TypeError(f"expected a list or comma-separated text, got {value!r}")
+        return tuple(item(v) for v in value)
+
+    return parse
+
+
+def _seeds(value) -> tuple[int, ...]:
+    """A count expands to identifiers 0..count-1; a list is taken as is."""
+    if isinstance(value, list) or (isinstance(value, str) and "," in value):
+        return _list(_int)(value)
+    return tuple(range(_int(value)))
+
+
+class Setting(NamedTuple):
+    parse: Callable
+    default: object  # None: required, from a flag, a config file or an example preset
+    help: str
+    field: str = ""  # ExperimentConfig field, when it is not the key
+
+
+# One entry per run setting, in --help order.  The flag is the key with
+# dashes for underscores, and the JSON config key is the key itself; the
+# keys of MediumParams' fields build ``params``.  Overlay order: defaults <
+# example preset < config file < flags.
+SETTINGS = {
+    "alpha": Setting(_float, None, "fractional time order in (0, 1]"),
+    "omega": Setting(_float, None, "diffusivity"),
+    "beta": Setting(_float, None, "convection speed"),
+    "nu": Setting(_float, None, "reaction rate"),
+    "x0": Setting(_float, None, "sensor position"),
+    "p": Setting(_float, None, "assumed Sobolev smoothness of the source"),
+    "t_max": Setting(_float, 10.0, "window length"),
+    "n": Setting(_int, 256, "sample count (power of two)"),
+    "pad": Setting(_int, 1, "zero-padding factor for the window", "pad_factor"),
+    "source": Setting(str, None, "source preset: square or exp"),
+    "filters": Setting(
+        _list(str), ",".join(kind.value for kind in FilterKind),
+        "comma list from r1,r2,r3,naive",
+    ),
+    "eps": Setting(_list(_float), "0.1,0.01,0.001,0.0001,1e-05",
+                   "comma list of noise levels", "eps_list"),
+    "seeds": Setting(_seeds, 20, "seed count, or comma list of seed identifiers", "seed_ids"),
+    "master_seed": Setting(_int, 12345, "root of the per-cell noise seeds"),
+    "out": Setting(Path, "fracsrc-out", "output directory", "out_dir"),
+}
+
+
+def _parse(key: str, parse: Callable, value):
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"could not parse {what} list {text!r}: {exc}") from exc
-
-
-def _parse_seeds(value) -> tuple[int, ...]:
-    """A bare count expands to identifiers 0..count-1; a list is taken as is."""
-    if isinstance(value, int):
-        if value < 1:
-            raise ConfigError(f"seed count must be >= 1, got {value}")
-        return tuple(range(value))
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    text = str(value)
-    if "," in text:
-        try:
-            return tuple(int(part) for part in text.split(",") if part.strip() != "")
-        except ValueError as exc:
-            raise ConfigError(f"could not parse seed list {text!r}") from exc
-    try:
-        return _parse_seeds(int(text))
-    except ValueError as exc:
-        raise ConfigError(f"could not parse seeds {text!r}") from exc
-
-
-def _parse_filters(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        labels = [str(v) for v in value]
-    else:
-        labels = [part.strip() for part in str(value).split(",") if part.strip() != ""]
-    seen: list[str] = []
-    for label in labels:
-        if label not in seen:
-            seen.append(label)
-    return tuple(seen)
-
-
-_MEDIUM_KEYS = ("omega", "beta", "nu", "alpha", "x0")
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    settings: dict = {
-        "n": 256, "t_max": 10.0, "pad": 1,
-        "eps": DEFAULT_EPS, "seeds": 20,
-        "filters": DEFAULT_FILTERS, "master_seed": DEFAULT_MASTER_SEED,
-        "out": "fracsrc-out",
-    }
-
+    loaded: dict = {}
     if args.config is not None:
         path = Path(args.config)
         try:
             loaded = json.loads(path.read_text())
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        example = loaded.pop("example", None)
-        if example is not None:
-            if example not in EXAMPLE_PRESETS:
-                raise ConfigError(f"{path}: unknown example preset {example!r}")
-            settings.update(EXAMPLE_PRESETS[example])
-        for key, value in loaded.items():
-            if key not in settings and key not in (
-                *_MEDIUM_KEYS, "source", "p", "eps", "seeds", "filters",
-            ):
+        for key in loaded:
+            if key not in SETTINGS and key != "example":
                 raise ConfigError(f"{path}: unknown config key {key!r}")
-            settings[key] = value
-    elif args.example is not None:
-        settings.update(EXAMPLE_PRESETS[args.example])
 
-    flag_map = {
-        "omega": args.omega, "beta": args.beta, "nu": args.nu,
-        "alpha": args.alpha, "x0": args.x0, "n": args.n, "t_max": args.t_max,
-        "pad": args.pad, "p": args.p, "source": args.source,
-        "filters": args.filters, "eps": args.eps, "seeds": args.seeds,
-        "master_seed": args.master_seed, "out": args.out,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
+    settings = {key: s.default for key, s in SETTINGS.items() if s.default is not None}
+    example = loaded.pop("example", args.example)  # --example and --config exclude each other
+    if example is not None:
+        example = _parse("example", _int, example)
+        if example not in EXAMPLE_PRESETS:
+            raise ConfigError(f"example: unknown preset {example}")
+        settings.update(EXAMPLE_PRESETS[example])
+    settings.update(loaded)
+    settings.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
 
-    missing = [key for key in _MEDIUM_KEYS if key not in settings]
+    missing = [key for key in SETTINGS if key not in settings]
     if missing:
         raise ConfigError(
-            "medium parameters missing: " + ", ".join(missing)
-            + " (set them with flags, a config file, or --example)"
+            f"not set: {', '.join(missing)} (use flags, a config file, or --example)"
         )
-    if "source" not in settings:
-        raise ConfigError("no source selected (use --source, a config file, or --example)")
-    if "p" not in settings:
-        raise ConfigError("no smoothness order selected (use --p, a config file, or --example)")
-
-    eps = settings["eps"]
-    if isinstance(eps, str):
-        eps = _parse_float_list(eps, "eps")
+    values = {key: _parse(key, SETTINGS[key].parse, value) for key, value in settings.items()}
     try:
-        params = MediumParams(
-            omega=float(settings["omega"]), beta=float(settings["beta"]),
-            nu=float(settings["nu"]), alpha=float(settings["alpha"]),
-            x0=float(settings["x0"]),
-        )
+        params = MediumParams(**{f.name: values.pop(f.name) for f in fields(MediumParams)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
-        params=params,
-        n=int(settings["n"]),
-        t_max=float(settings["t_max"]),
-        pad_factor=int(settings["pad"]),
-        source=str(settings["source"]),
-        p=float(settings["p"]),
-        eps_list=tuple(float(e) for e in eps),
-        seed_ids=_parse_seeds(settings["seeds"]),
-        filters=_parse_filters(settings["filters"]),
-        master_seed=int(settings["master_seed"]),
-        out_dir=Path(settings["out"]),
+        params=params, **{SETTINGS[key].field or key: value for key, value in values.items()}
     )
 
 
@@ -349,28 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment sweep and write CSV tables")
     preset = run.add_mutually_exclusive_group()
-    preset.add_argument("--example", type=int, choices=(1, 2),
+    preset.add_argument("--example", metavar="{1,2}",
                         help="benchmark preset: 1 square-wave source, 2 decaying exponential")
-    preset.add_argument("--config", type=str, help="JSON config file (flags override it)")
-    for key, doc in (
-        ("alpha", "fractional time order in (0, 1]"),
-        ("omega", "diffusivity"), ("beta", "convection speed"),
-        ("nu", "reaction rate"), ("x0", "sensor position"),
-        ("p", "assumed Sobolev smoothness of the source"),
-        ("t-max", "window length"),
-    ):
-        run.add_argument(f"--{key}", type=float, default=None, help=doc)
-    run.add_argument("--n", type=int, default=None, help="sample count (power of two)")
-    run.add_argument("--pad", type=int, default=None,
-                     help="zero-padding factor for the window (default 1)")
-    run.add_argument("--source", choices=("square", "exp"), default=None)
-    run.add_argument("--filters", type=str, default=None,
-                     help="comma list from r1,r2,r3,naive")
-    run.add_argument("--eps", type=str, default=None, help="comma list of noise levels")
-    run.add_argument("--seeds", type=str, default=None,
-                     help="seed count, or comma list of seed identifiers")
-    run.add_argument("--master-seed", type=int, default=None, dest="master_seed")
-    run.add_argument("--out", type=str, default=None, help="output directory")
+    preset.add_argument("--config", help="JSON config file (flags override it)")
+    for key, setting in SETTINGS.items():
+        help_text = setting.help
+        if setting.default is not None:
+            help_text += f" (default {setting.default})"
+        run.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                         help=help_text)
     return parser
 
 
@@ -378,16 +372,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        report = run_experiment(cfg)
+        # floating-point trouble ends in an error or a guard failure, not a warning
+        with np.errstate(all="ignore"):
+            cfg = _build_config(args)
+            report = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SymmetryError as exc:
+    except (SymmetryError, ValueError) as exc:
         print(f"guard failure: {exc}", file=sys.stderr)
         return 3
 
-    labels = [label for label in SUMMARY_COLUMN_ORDER if label in cfg.filters]
+    labels = list(report.summary[0])[1:]
     print("seed-averaged relative errors")
     print("  ".join(["epsilon".rjust(10)] + [label.rjust(10) for label in labels]))
     for entry in report.summary:

@@ -62,7 +62,6 @@ __all__ = [
 # a 256-point window on [0, 10] by less than 1e-5.
 DELTA_FLOOR = 1e-20
 
-_FILTER_BY_LABEL = {kind.value: kind for kind in FilterKind}
 # naive first, then the filters, mirroring the output column order
 ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
 
@@ -95,13 +94,17 @@ class ErrorRow:
 
 @dataclass(frozen=True)
 class CellResult:
-    """All inversions of one noisy measurement, plus the signals themselves."""
+    """All inversions of one noisy measurement, plus the signals themselves.
+
+    ``y`` is the exact measurement, shared by every cell of a sweep.
+    """
 
     epsilon: float
     seed: int
     rng_seed: int
     delta: float
     delta_max: float
+    y: RealSignal
     y_noisy: RealSignal
     estimates: dict[str, RealSignal]
     rows: tuple[ErrorRow, ...]
@@ -224,7 +227,7 @@ def run_cell(
             mu = None
             bound = None
         else:
-            kind = _FILTER_BY_LABEL[label]
+            kind = FilterKind(label)
             estimate, mu = invert_regularized(y_noisy, params, kind, p, delta, delta_max)
             reg = RegParams(mu=mu, p=p, delta=delta, delta_max=delta_max)
             bound = error_bound(kind, c_bound, reg, params)
@@ -247,6 +250,7 @@ def run_cell(
         rng_seed=rng_seed,
         delta=delta,
         delta_max=delta_max,
+        y=y,
         y_noisy=y_noisy,
         estimates=estimates,
         rows=tuple(rows),

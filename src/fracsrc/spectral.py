@@ -62,8 +62,11 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n!r}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
-            raise ValueError(f"t_max must be a positive finite real, got {self.t_max!r}")
+        if not (math.isfinite(self.t_max) and self.t_max / self.n > 0.0):
+            raise ValueError(
+                f"t_max must be a positive finite real with a nonzero step t_max / n, "
+                f"got {self.t_max!r}"
+            )
 
     @property
     def dt(self) -> float:
@@ -80,9 +83,6 @@ class TimeGrid:
     def frequencies(self) -> np.ndarray:
         """Angular bin frequencies in FFT storage order."""
         return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dt)
-
-    def freq(self, k: int) -> float:
-        return float(self.frequencies()[k])
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,6 @@ class Spectrum:
 
     def frequencies(self) -> np.ndarray:
         return self.grid.frequencies()
-
-    def freq(self, k: int) -> float:
-        return self.grid.freq(k)
 
 
 def dft(signal: RealSignal) -> Spectrum:

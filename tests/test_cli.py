@@ -3,11 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fracsrc
 import fracsrc.cli as cli
 import fracsrc.pipeline as pipeline
 from fracsrc.cli import (
@@ -97,6 +101,14 @@ class TestConfigValidation:
             dict(p=0.0),
             dict(pad_factor=0),
             dict(n=100),
+            dict(seed_ids=(-1, 2)),
+            dict(master_seed=-5),
+            dict(seed_ids=(1, 1)),
+            dict(eps_list=(0.1, 0.1)),
+            dict(eps_list=(0.1, 0.1000001)),  # both name signals_0.1_<seed>.csv
+            dict(params=MediumParams(omega=1e-300, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)),
+            dict(t_max=1e-320),
+            dict(t_max=5e-324),
         ],
     )
     def test_rejects_invalid(self, tmp_path, overrides):
@@ -120,6 +132,48 @@ class TestMainExitCodes:
     def test_bad_sample_count_is_config_error(self, tmp_path):
         rc = main(["run", "--example", "1", "--n", "100", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags, config, code, prefix",
+        [
+            (["--omega", "1e-300"], None, 2, "error: Lambda or G(x0, .)"),
+            (["--t-max", "1e-320"], None, 2, "error: Lambda or G(x0, .)"),
+            (["--seeds=-1,2"], None, 2, "error: seed identifiers"),
+            (["--master-seed", "-5"], None, 2, "error: master seed"),
+            (["--seeds", "1,1"], None, 2, "error: seed identifiers"),
+            (["--eps", "0.1,0.1"], None, 2, "error: noise levels"),
+            (["--n", "abc"], None, 2, "error: n:"),
+            (["--example", "3"], None, 2, "error: example:"),
+            (["--eps", "1e300"], None, 3, "guard failure:"),
+            ([], {"n": "abc"}, 2, "error: n:"),
+            ([], {"eps": [0.1, "x"]}, 2, "error: eps:"),
+            ([], {"eps": 0.1}, 2, "error: eps:"),
+            ([], {"pad": 1.5}, 2, "error: pad:"),
+            ([], {"seeds": [True]}, 2, "error: seeds:"),
+            ([], {"example": True}, 2, "error: example:"),
+            ([], {"out": 5}, 2, "error: out:"),
+        ],
+    )
+    def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
+        argv = ["run", "--n", "8", "--seeds", "1", "--eps", "0.1"]
+        if config is None:
+            argv += ["--example", "1", "--out", str(tmp_path / "out"), *flags]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"example": 1, "out": str(tmp_path / "out"), **config}))
+            argv = ["run", "--config", str(path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_path_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["run", "--example", "1", "--n", "8", "--eps", "0.1", "--seeds", "1",
+                   "--out", str(taken)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: out:")
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -236,6 +290,20 @@ class TestRunExperiment:
         config.write_text(json.dumps({"example": 1, "wavelength": 3}))
         assert main(["run", "--config", str(config)]) == 2
 
+    def test_run_synthesizes_the_measurement_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.synthesize_data
+
+        def counted(f, params):
+            calls.append(f.grid)
+            return real(f, params)
+
+        monkeypatch.setattr(pipeline, "synthesize_data", counted)
+        monkeypatch.setattr(cli, "synthesize_data", counted, raising=False)
+        assert main(["run", "--example", "1", "--n", "8", "--eps", "0.1,0.01",
+                     "--seeds", "2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_report_object(self, tmp_path):
         cfg = ExperimentConfig(
             params=EX1_PARAMS, n=64, t_max=10.0, pad_factor=1, source="square",
@@ -262,6 +330,7 @@ class TestRunExperiment:
         assert all(field == f"{float(field):.17g}" for row in rows for field in row)
         columns = np.array(rows, dtype=float).T
         assert np.array_equal(columns[0], cfg.grid().times())
+        assert np.array_equal(columns[2], cell.y.samples)
         assert np.array_equal(columns[3], cell.y_noisy.samples)
         assert np.array_equal(columns[4], cell.estimates["naive"].samples)
         assert np.array_equal(columns[5], cell.estimates["r1"].samples)
@@ -287,3 +356,110 @@ epsilon,seed,filter,mu,delta,delta_max,rel_err,theory_bound
         ])
         assert rc == 0
         assert (tmp_path / "errors.csv").read_text() == self.GOLDEN_ERRORS
+
+
+class TestPackageExports:
+    def test_all_is_the_union_of_the_modules(self):
+        modules = (cli, pipeline, fracsrc.regularize, fracsrc.spectral, fracsrc.symbols)
+        names = [name for module in modules for name in module.__all__]
+        assert len(set(names)) == len(names)  # no name exported by two modules
+        assert sorted(fracsrc.__all__) == sorted(["__version__", *names])
+        assert all(hasattr(fracsrc, name) for name in fracsrc.__all__)
+
+
+class TestSettingsTable:
+    def test_json_key_and_flag_give_the_same_config(self, tmp_path):
+        values = {
+            "alpha": 0.5, "omega": 0.2, "beta": 1.0, "nu": 0.5, "x0": 2.0, "p": 2.0,
+            "t_max": 8.0, "n": 16, "pad": 2, "source": "exp", "filters": ["naive", "r3"],
+            "eps": [0.1, 0.01], "seeds": [4, 2], "master_seed": 9,
+            "out": str(tmp_path / "out"),
+        }
+        assert set(values) == set(cli.SETTINGS)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        flags = [f"--{key.replace('_', '-')}={_flag_text(v)}" for key, v in values.items()]
+        parser = cli._build_parser()
+        from_json = cli._build_config(parser.parse_args(["run", "--config", str(config)]))
+        from_flags = cli._build_config(parser.parse_args(["run", *flags]))
+        assert from_json == from_flags
+        assert from_json.pad_factor == 2 and from_json.seed_ids == (4, 2)
+        assert from_json.out_dir == tmp_path / "out"
+
+
+# JSON values for each run setting: well-typed ones, and ill-typed,
+# negative, duplicate and extreme ones.  n <= 256 and pad <= 4 keep
+# n * pad <= 1024 (no bad value is a larger power of two), and eps and seeds
+# hold at most three entries, so no draw allocates a large grid or runs long.
+_BAD_NUMBERS = [0.0, -1.0, 5e-324, 1e-300, 1e300, math.inf, math.nan, True, None, "abc", [1.0]]
+_GOOD = {
+    "alpha": st.floats(0.05, 1.0),
+    **{key: st.floats(1e-2, 10.0) for key in ("omega", "beta", "nu", "x0")},
+    "p": st.floats(0.1, 4.0),
+    "t_max": st.floats(0.5, 50.0),
+    "n": st.sampled_from([8, 16, 64, 256]),
+    "pad": st.sampled_from([1, 2, 4]),
+    "source": st.sampled_from(["square", "exp"]),
+    "filters": st.lists(st.sampled_from(["naive", "r1", "r2", "r3"]), min_size=1, max_size=4),
+    "eps": st.lists(st.sampled_from([0.0, 1e-5, 1e-3, 1e-2, 0.1, 0.5]),
+                    min_size=1, max_size=3, unique=True),
+    "seeds": st.one_of(st.integers(1, 3),
+                       st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True)),
+    "master_seed": st.integers(0, 2**64),
+}
+_BAD = {
+    **{key: st.sampled_from(_BAD_NUMBERS)
+       for key in ("alpha", "omega", "beta", "nu", "x0", "p", "t_max")},
+    "n": st.sampled_from([0, -8, 100, 10**30, 1.5, True, "x", None]),
+    "pad": st.sampled_from([0, -1, 1.5, 10**30, True, "x"]),
+    "source": st.sampled_from(["triangle", 5, None]),
+    "filters": st.sampled_from([[], ["bogus"], ["r1", "r1"], 5, None, {"a": 1}]),
+    "eps": st.sampled_from([[], [0.1, 0.1], [0.1, 0.1000001], [-0.1], [-0.0], [1e17],
+                            [1e300], [math.inf], [math.nan], ["x"], [True], 0.1, None]),
+    "seeds": st.sampled_from([0, -1, [], [1, 1], [-2, 1], [2**64], [True], [1.5], 1.5,
+                              None, "x"]),
+    "master_seed": st.sampled_from([-5, 1.5, True, "x", None]),
+}
+
+
+def _flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@st.composite
+def _invocations(draw):
+    """(use a config file, example preset, JSON settings, flag settings)."""
+    layer = st.fixed_dictionaries({}, optional=_GOOD)
+    from_json, from_flags = draw(layer), draw(layer)
+    for key in ("eps", "seeds"):  # their defaults span 100 cells
+        if key not in from_json and key not in from_flags:
+            from_flags[key] = draw(_GOOD[key])
+    for key in draw(st.lists(st.sampled_from(sorted(_BAD)), max_size=2)):
+        draw(st.sampled_from([from_json, from_flags]))[key] = draw(_BAD[key])
+    example = draw(st.sampled_from([None, 1, 2, 1, 2, 3, True, "1"]))
+    if draw(st.integers(0, 9)) == 0:
+        from_json["wavelength"] = 3
+    return draw(st.booleans()), example, from_json, from_flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(_invocations())
+def test_fuzzed_invocations_exit_0_2_or_3(invocation):
+    use_config, example, from_json, from_flags = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["run", "--out", str(Path(tmp) / "out")]
+        if use_config:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(
+                from_json if example is None else {"example": example, **from_json}
+            ))
+            argv += ["--config", str(config)]
+        elif example is not None:
+            argv.append(f"--example={example}")
+        argv += [f"--{key.replace('_', '-')}={_flag_text(value)}"
+                 for key, value in from_flags.items()]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code in (0, 2, 3), argv

@@ -44,11 +44,12 @@ class TestTimeGrid:
             TimeGrid(256, t_max)
 
     def test_frequency_map(self):
-        assert GRID.freq(0) == 0.0
+        xi = GRID.frequencies()
+        assert xi[0] == 0.0
         # even n: the extreme bin is the most negative frequency -pi/dt
-        assert GRID.freq(GRID.n // 2) == pytest.approx(-math.pi / GRID.dt, rel=1e-15)
+        assert xi[GRID.n // 2] == pytest.approx(-math.pi / GRID.dt, rel=1e-15)
         for k in (1, 17, 100, GRID.n // 2 - 1):
-            assert GRID.freq(GRID.n - k) == pytest.approx(-GRID.freq(k), rel=1e-15)
+            assert xi[GRID.n - k] == pytest.approx(-xi[k], rel=1e-15)
 
     def test_sample_placement(self):
         times = GRID.times()
