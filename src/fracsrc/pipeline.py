@@ -8,6 +8,10 @@ with an integer derived deterministically from ``(master_seed, noise-level
 index, seed identifier)`` via ``numpy.random.SeedSequence``; results are
 therefore bit-reproducible regardless of execution order.
 
+The sweep scores one noise level's seeds as one stack of measurements, a
+row per cell: one forward transform, then one gain table and one inverse
+transform per estimator.  ``run_cell`` is the same code on a one-row stack.
+
 The multiplier tables (``Lambda`` and ``G(x0, .)`` on the grid's bins) depend
 only on the medium and the grid, so they are sampled once per
 ``(MediumParams, TimeGrid)`` pair and shared, read-only, by every cell and
@@ -31,6 +35,7 @@ import numpy as np
 from .regularize import FilterKind, RegParams, attenuation, choose_mu, error_bound
 from .spectral import (
     RealSignal,
+    Spectrum,
     TimeGrid,
     apply_multiplier,
     dft,
@@ -147,12 +152,21 @@ def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
     return noisy, delta
 
 
+def _invert(
+    spectrum: Spectrum, params: MediumParams, kind: FilterKind | None = None, mu=None
+) -> RealSignal:
+    """Apply ``Lambda``, or the ``kind`` filter at ``mu`` (a column for a stack), and invert."""
+    tables = _tables(params, spectrum.grid)
+    gain = tables.inverse if kind is None else tables.inverse * attenuation(kind, tables.xi, mu)
+    return idft(apply_multiplier(spectrum, gain))
+
+
 def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:
     """Unstabilized inversion ``f_est = idft(Lambda * dft(y_noisy))``.
 
     Exact on noise-free data; amplifies high-frequency noise otherwise.
     """
-    return idft(apply_multiplier(dft(y_noisy), _tables(params, y_noisy.grid).inverse))
+    return _invert(dft(y_noisy), params)
 
 
 def invert_regularized(
@@ -165,13 +179,11 @@ def invert_regularized(
 ) -> tuple[RealSignal, float]:
     """Filtered inversion with the a priori parameter rule; returns (estimate, mu)."""
     mu = choose_mu(delta, delta_max, p)
-    tables = _tables(params, y_noisy.grid)
-    filtered = tables.inverse * attenuation(kind, tables.xi, mu)
-    return idft(apply_multiplier(dft(y_noisy), filtered)), mu
+    return _invert(dft(y_noisy), params, kind, mu), mu
 
 
-def relative_error(f_est: RealSignal, f_true: RealSignal) -> float:
-    """Relative L2 estimation error ``||f_est - f_true|| / ||f_true||``."""
+def relative_error(f_est: RealSignal, f_true: RealSignal) -> float | np.ndarray:
+    """Relative L2 estimation error ``||f_est - f_true|| / ||f_true||``, one per row."""
     if f_est.grid != f_true.grid:
         raise ValueError("estimate and truth must share the same grid")
     denom = l2_norm(f_true)
@@ -197,6 +209,47 @@ def cell_seed(master_seed: int, eps_index: int, seed_id: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
+def _run_cells(
+    f_true: RealSignal, y: RealSignal, params: MediumParams, p: float, epsilon: float,
+    seeds: list[tuple[int, int]], filters: tuple[str, ...], c_bound: float,
+) -> list[CellResult]:
+    """Score the cells of one noise level, given as ``(seed id, rng seed)`` pairs.
+
+    The noisy measurements form one stack, a row per cell: one forward
+    transform, then per estimator one gain table and one inverse transform.
+    """
+    noisy = [add_noise(y, NoiseSpec(epsilon, rng_seed)) for _, rng_seed in seeds]
+    deltas = [max(realized, DELTA_FLOOR) for _, realized in noisy]
+    delta_maxes = [delta_max_rule(delta) for delta in deltas]
+    spectrum = dft(RealSignal(y.grid, np.stack([y_noisy.samples for y_noisy, _ in noisy])))
+    columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
+    for label in ESTIMATOR_LABELS:
+        if label not in filters:
+            continue
+        if label == "naive":
+            mus = bounds = [None] * len(seeds)
+            estimate = _invert(spectrum, params)
+        else:
+            kind = FilterKind(label)
+            mus = [choose_mu(d, d_max, p) for d, d_max in zip(deltas, delta_maxes)]
+            bounds = [error_bound(kind, c_bound, RegParams(mu, p, d, d_max), params)
+                      for mu, d, d_max in zip(mus, deltas, delta_maxes)]
+            estimate = _invert(spectrum, params, kind, np.array(mus)[:, None])
+        columns[label] = (estimate.samples, mus, relative_error(estimate, f_true), bounds)
+    return [
+        CellResult(
+            epsilon, seed_id, rng_seed, deltas[i], delta_maxes[i], y, noisy[i][0],
+            {label: RealSignal(y.grid, stack[i]) for label, (stack, *_) in columns.items()},
+            tuple(
+                ErrorRow(epsilon, seed_id, label, mus[i], deltas[i], delta_maxes[i],
+                         float(errors[i]), bounds[i])
+                for label, (_, mus, errors, bounds) in columns.items()
+            ),
+        )
+        for i, (seed_id, rng_seed) in enumerate(seeds)
+    ]
+
+
 def run_cell(
     f_true: RealSignal,
     y: RealSignal,
@@ -212,49 +265,10 @@ def run_cell(
 
     ``filters`` is a subset of ``("naive", "r1", "r2", "r3")``.  The theory
     bound is attached to filtered rows only; it bounds the absolute L2 error,
-    with ``c_bound`` standing in for the source's Sobolev norm.
+    with ``c_bound`` standing in for the source's Sobolev norm.  This is the
+    sweep's scoring code run on a one-cell stack.
     """
-    y_noisy, realized = add_noise(y, NoiseSpec(epsilon, rng_seed))
-    delta = max(realized, DELTA_FLOOR)
-    delta_max = delta_max_rule(delta)
-    estimates: dict[str, RealSignal] = {}
-    rows: list[ErrorRow] = []
-    for label in ESTIMATOR_LABELS:
-        if label not in filters:
-            continue
-        if label == "naive":
-            estimate = invert_naive(y_noisy, params)
-            mu = None
-            bound = None
-        else:
-            kind = FilterKind(label)
-            estimate, mu = invert_regularized(y_noisy, params, kind, p, delta, delta_max)
-            reg = RegParams(mu=mu, p=p, delta=delta, delta_max=delta_max)
-            bound = error_bound(kind, c_bound, reg, params)
-        estimates[label] = estimate
-        rows.append(
-            ErrorRow(
-                epsilon=epsilon,
-                seed=seed_id,
-                filter=label,
-                mu=mu,
-                delta=delta,
-                delta_max=delta_max,
-                rel_err=relative_error(estimate, f_true),
-                theory_bound=bound,
-            )
-        )
-    return CellResult(
-        epsilon=epsilon,
-        seed=seed_id,
-        rng_seed=rng_seed,
-        delta=delta,
-        delta_max=delta_max,
-        y=y,
-        y_noisy=y_noisy,
-        estimates=estimates,
-        rows=tuple(rows),
-    )
+    return _run_cells(f_true, y, params, p, epsilon, [(seed_id, rng_seed)], filters, c_bound)[0]
 
 
 def run_sweep(
@@ -266,28 +280,16 @@ def run_sweep(
     filters: tuple[str, ...],
     master_seed: int,
 ) -> list[CellResult]:
-    """Run the full (noise level) x (seed) sweep sequentially.
+    """Run the full (noise level) x (seed) sweep, one noise level at a time.
 
-    Cells are independent and their RNG streams depend only on
-    ``(master_seed, eps index, seed id)``, so any execution order, including
-    a concurrent one, yields identical results.
+    The seeds of a noise level are scored as one stack (see ``run_cell``).
+    Each cell's RNG stream depends only on ``(master_seed, eps index, seed
+    id)``, so results do not depend on how cells are grouped or ordered.
     """
     y = synthesize_data(f_true, params)
-    c_bound = hp_norm(dft(f_true), p)
+    c_bound = float(hp_norm(dft(f_true), p))
     cells = []
     for i_eps, epsilon in enumerate(eps_list):
-        for seed_id in seed_ids:
-            cells.append(
-                run_cell(
-                    f_true,
-                    y,
-                    params,
-                    p,
-                    epsilon,
-                    seed_id,
-                    cell_seed(master_seed, i_eps, seed_id),
-                    filters,
-                    c_bound,
-                )
-            )
+        seeds = [(seed_id, cell_seed(master_seed, i_eps, seed_id)) for seed_id in seed_ids]
+        cells += _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound)
     return cells

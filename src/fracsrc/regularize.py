@@ -173,22 +173,17 @@ def const_m(kind: FilterKind, alpha: float, params: MediumParams) -> float:
     return 2.0 * (params.nu + const_n(kind, alpha)) * max(1.0, 1.0 / cap_n)
 
 
-def filter_factor_gap(
-    kind: FilterKind, xi: float, mu: float, p: float, params: MediumParams
-) -> float:
+def filter_factor_gap(kind: FilterKind, xi: float, mu: float, p: float) -> float:
     """Sobolev-weighted gap ``(1 + xi^2)^(-p/2) |1 - R_mu(xi) / Lambda(xi)|``.
 
     The ratio of filter to inverse multiplier collapses to the real
-    attenuation factor, so the medium parameters do not affect the value;
-    they are validated and accepted to mirror the filter-family signature.
-    Bounded by ``max(mu^p, mu^2, mu^(p-2))``.
+    attenuation factor, so the medium does not enter.  Bounded by
+    ``max(mu^p, mu^2, mu^(p-2))``.
     """
     if not (0.0 < mu < 1.0):
         raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError(f"p must be a positive finite real, got {p!r}")
-    if not isinstance(params, MediumParams):
-        raise TypeError("params must be a MediumParams instance")
     return (1.0 + xi * xi) ** (-p / 2.0) * (1.0 - _attenuation(kind, xi, mu))
 
 

@@ -18,6 +18,10 @@ Nyquist bin: that bin aliases the pair ``+-pi/dt``, a real signal cannot
 carry phase there, and using the modulus keeps reciprocal symbol pairs
 exactly inverse to each other through a forward/backward round trip.
 :func:`apply_multiplier` multiplies a spectrum by such a table.
+
+Signals and spectra may be stacks of rows along the last axis, shape
+``(rows, n)``: the transforms, the norms and the symmetry guard act on each
+row on its own, and give each row the same bits as a one-row call.
 """
 
 from __future__ import annotations
@@ -87,14 +91,14 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class RealSignal:
-    """Real-valued samples on a :class:`TimeGrid`."""
+    """Real-valued samples on a :class:`TimeGrid`, or a stack of rows of them."""
 
     grid: TimeGrid
     samples: np.ndarray
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float)
-        if samples.shape != (self.grid.n,):
+        if samples.shape[-1:] != (self.grid.n,):
             raise ValueError(
                 f"expected {self.grid.n} samples, got shape {samples.shape}"
             )
@@ -109,7 +113,7 @@ class Spectrum:
 
     Spectra obtained from :func:`dft` of a :class:`RealSignal` are Hermitian,
     ``coeffs[n-k] == conj(coeffs[k])``; :func:`idft` enforces that through
-    its imaginary-residue guard.
+    its imaginary-residue guard.  A stack holds one spectrum per row.
     """
 
     grid: TimeGrid
@@ -117,7 +121,7 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.grid.n,):
+        if coeffs.shape[-1:] != (self.grid.n,):
             raise ValueError(
                 f"expected {self.grid.n} coefficients, got shape {coeffs.shape}"
             )
@@ -138,29 +142,32 @@ def dft(signal: RealSignal) -> Spectrum:
 def idft(spectrum: Spectrum) -> RealSignal:
     """Inverse transform back to real samples.
 
-    Raises :class:`SymmetryError` when the largest imaginary residue of the
-    inverse transform exceeds ``1e-8`` times the spectrum norm, which happens
-    whenever the coefficients are not Hermitian.
+    Raises :class:`SymmetryError` when the largest imaginary residue of a
+    row's inverse transform exceeds ``1e-8`` times that row's spectrum norm,
+    which happens whenever its coefficients are not Hermitian.  The samples
+    are a copy, so they do not hold the complex buffer.
     """
     scale = math.sqrt(2.0 * math.pi) / spectrum.grid.dt
     values = scale * np.fft.ifft(spectrum.coeffs)
-    residual = float(np.max(np.abs(values.imag)))
-    norm = math.sqrt(spectrum.grid.dxi * float(np.sum(np.abs(spectrum.coeffs) ** 2)))
-    if residual > _IMAG_GUARD * norm:
+    residual = np.max(np.abs(values.imag), axis=-1)
+    norm = np.sqrt(spectrum.grid.dxi * np.sum(np.abs(spectrum.coeffs) ** 2, axis=-1))
+    broken = residual > _IMAG_GUARD * norm
+    if np.any(broken):
+        row = np.argmax(broken)  # the first broken row
         raise SymmetryError(
-            f"imaginary residue {residual:.3e} exceeds {_IMAG_GUARD:g} * "
-            f"spectrum norm {norm:.3e}; coefficients are not Hermitian"
+            f"imaginary residue {residual.flat[row]:.3e} exceeds {_IMAG_GUARD:g} * "
+            f"spectrum norm {norm.flat[row]:.3e}; coefficients are not Hermitian"
         )
-    return RealSignal(spectrum.grid, values.real)
+    return RealSignal(spectrum.grid, values.real.copy())
 
 
-def l2_norm(signal: RealSignal) -> float:
-    """Rectangle-rule L2 norm, ``sqrt(dt * sum(samples^2))``."""
-    return math.sqrt(signal.grid.dt * float(np.sum(signal.samples**2)))
+def l2_norm(signal: RealSignal) -> float | np.ndarray:
+    """Rectangle-rule L2 norm, ``sqrt(dt * sum(samples^2))``, one per row."""
+    return np.sqrt(signal.grid.dt * np.sum(signal.samples**2, axis=-1))
 
 
-def hp_norm(spectrum: Spectrum, p: float) -> float:
-    """Discrete Sobolev norm ``sqrt(sum_k dxi |c_k|^2 (1 + xi_k^2)^p)``.
+def hp_norm(spectrum: Spectrum, p: float) -> float | np.ndarray:
+    """Discrete Sobolev norm ``sqrt(sum_k dxi |c_k|^2 (1 + xi_k^2)^p)``, one per row.
 
     ``p = 0`` reduces to the Parseval partner of :func:`l2_norm`.
     """
@@ -168,9 +175,7 @@ def hp_norm(spectrum: Spectrum, p: float) -> float:
         raise ValueError(f"smoothness order p must be >= 0, got {p!r}")
     xi = spectrum.frequencies()
     weights = (1.0 + xi * xi) ** p
-    return math.sqrt(
-        spectrum.grid.dxi * float(np.sum(weights * np.abs(spectrum.coeffs) ** 2))
-    )
+    return np.sqrt(spectrum.grid.dxi * np.sum(weights * np.abs(spectrum.coeffs) ** 2, axis=-1))
 
 
 def multiplier_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
@@ -188,8 +193,8 @@ def multiplier_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
 
 
 def apply_multiplier(spectrum: Spectrum, values: np.ndarray) -> Spectrum:
-    """Multiply a spectrum bin-wise by a table from :func:`multiplier_values`."""
-    if np.shape(values) != spectrum.coeffs.shape:
+    """Multiply a spectrum bin-wise by a :func:`multiplier_values` table, or one per row."""
+    if np.shape(values) not in ((spectrum.grid.n,), spectrum.coeffs.shape):
         raise ValueError(
             f"expected {spectrum.grid.n} multiplier values, got shape {np.shape(values)}"
         )

@@ -203,7 +203,7 @@ def _weighted_gap_violations():
             cap = max(mu**p, mu**2, mu ** (p - 2.0))
             for kind in KINDS:
                 for xi in xi_grid:
-                    gap = filter_factor_gap(kind, float(xi), mu, p, params)
+                    gap = filter_factor_gap(kind, float(xi), mu, p)
                     count += int(gap > cap * (1.0 + 1e-12))
     return count
 

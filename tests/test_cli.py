@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,20 @@ class TestConfigValidation:
     def test_rejects_invalid(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
             ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, **overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(params=MediumParams(omega=1e-300, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)),
+            dict(t_max=1e-320),
+        ],
+    )
+    def test_degenerate_medium_or_grid_warns_nothing(self, tmp_path, overrides):
+        pipeline._tables.cache_clear()  # a cached entry would skip the evaluation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, **overrides))
 
 
 class TestMainExitCodes:

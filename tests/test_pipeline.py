@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fracsrc.pipeline as pipeline
 from fracsrc.cli import preset_source
 from fracsrc.pipeline import (
     DELTA_FLOOR,
@@ -259,6 +260,28 @@ class TestSweep:
         first = run_sweep(square, EX1, 1.0, (1e-2,), (0, 1, 2), FILTER_LABELS, 123)
         second = run_sweep(square, EX1, 1.0, (1e-2,), (0, 1, 2), FILTER_LABELS, 123)
         assert [cell.rows for cell in first] == [cell.rows for cell in second]
+
+    def test_sweep_is_run_cell_on_a_stack(self, square, monkeypatch):
+        # one scoring path: every cell equals run_cell's, bit for bit, and the
+        # sweep transforms each noise level's seeds once
+        real_dft = pipeline.dft
+        calls = []
+        monkeypatch.setattr(pipeline, "dft", lambda signal: calls.append(signal) or real_dft(signal))
+        eps_list = (0.0, 0.1)
+        cells = run_sweep(square, EX1, 1.0, eps_list, (0, 1, 2), ALL_ESTIMATORS, 7)
+        assert len(calls) <= 2 + len(eps_list)
+        y = synthesize_data(square, EX1)
+        c_bound = hp_norm(dft(square), 1.0)
+        for cell in cells:
+            single = run_cell(
+                square, y, EX1, 1.0, cell.epsilon, cell.seed, cell.rng_seed, ALL_ESTIMATORS,
+                c_bound,
+            )
+            assert single.rows == cell.rows
+            assert single.y_noisy.samples.tobytes() == cell.y_noisy.samples.tobytes()
+            assert list(single.estimates) == list(cell.estimates) == list(ALL_ESTIMATORS)
+            for label, estimate in cell.estimates.items():
+                assert single.estimates[label].samples.tobytes() == estimate.samples.tobytes()
 
     def test_cell_seeds_are_distinct(self):
         seeds = {cell_seed(9, i, j) for i in range(5) for j in range(20)}

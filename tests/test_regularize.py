@@ -171,7 +171,7 @@ class TestInequalitySuites:
                 cap = max(mu**p, mu**2, mu ** (p - 2.0))
                 for kind in KINDS:
                     for xi in XI_GRID:
-                        gap = filter_factor_gap(kind, float(xi), mu, p, EX1)
+                        gap = filter_factor_gap(kind, float(xi), mu, p)
                         assert gap <= cap * (1.0 + GUARD), (kind, p, mu, xi)
 
     def test_exponential_denominator_function_below_two(self):
@@ -210,25 +210,25 @@ class TestPointwiseConvergence:
 class TestFilterFactorGap:
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_frequency_gap_is_zero(self, kind):
-        assert filter_factor_gap(kind, 0.0, 0.5, 1.0, EX1) == 0.0
+        assert filter_factor_gap(kind, 0.0, 0.5, 1.0) == 0.0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_vanishes_with_mu(self, kind):
-        gaps = [filter_factor_gap(kind, 3.0, mu, 1.0, EX1) for mu in (0.5, 0.05, 0.005)]
+        gaps = [filter_factor_gap(kind, 3.0, mu, 1.0) for mu in (0.5, 0.05, 0.005)]
         assert gaps == sorted(gaps, reverse=True)
-        assert filter_factor_gap(kind, 3.0, 1e-8, 1.0, EX1) < 1e-10
+        assert filter_factor_gap(kind, 3.0, 1e-8, 1.0) < 1e-10
 
     def test_reference_value_at_cutoff(self):
         # quadratic filter at xi = 1/mu: attenuation gap 1/2, weight 1/101
-        gap = filter_factor_gap(FilterKind.RATIONAL2, 10.0, 0.1, 2.0, EX1)
+        gap = filter_factor_gap(FilterKind.RATIONAL2, 10.0, 0.1, 2.0)
         assert gap == pytest.approx(0.0049504950495049506, rel=1e-14)
         assert gap <= 0.1**2.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            filter_factor_gap(FilterKind.RATIONAL2, 1.0, 1.5, 1.0, EX1)
+            filter_factor_gap(FilterKind.RATIONAL2, 1.0, 1.5, 1.0)
         with pytest.raises(ValueError):
-            filter_factor_gap(FilterKind.RATIONAL2, 1.0, 0.5, -1.0, EX1)
+            filter_factor_gap(FilterKind.RATIONAL2, 1.0, 0.5, -1.0)
 
 
 class TestErrorBound:

@@ -119,6 +119,54 @@ class TestTransforms:
         with pytest.raises(SymmetryError):
             idft(Spectrum(GRID, perturbed))
 
+    def test_inverse_samples_own_their_memory(self):
+        # a view into the complex inverse would keep twice the estimate alive
+        assert idft(dft(random_signal(seed=23))).samples.flags.owndata
+
+
+class TestStacks:
+    ROWS = 20
+
+    def stack(self):
+        return RealSignal(GRID, np.stack([random_signal(seed=s).samples for s in range(self.ROWS)]))
+
+    def test_rows_match_one_row_calls_bit_for_bit(self):
+        signals = self.stack()
+        table = multiplier_values(GRID, 2.0 + 1j * GRID.frequencies() / 50.0)
+        spectra = dft(signals)
+        gains = np.stack([table * (row + 1) for row in range(self.ROWS)])
+        for gain in (table, gains):
+            back = idft(apply_multiplier(spectra, gain))
+            norms = l2_norm(back)
+            assert back.samples.shape == norms.shape + (GRID.n,) == (self.ROWS, GRID.n)
+            for row in range(self.ROWS):
+                one = dft(RealSignal(GRID, signals.samples[row]))
+                assert one.coeffs.tobytes() == spectra.coeffs[row].tobytes()
+                single = idft(apply_multiplier(one, gain[row] if gain.ndim == 2 else gain))
+                assert single.samples.tobytes() == back.samples[row].tobytes()
+                assert l2_norm(single) == norms[row]
+
+    def test_shape_checks_read_the_last_axis(self):
+        with pytest.raises(ValueError):
+            RealSignal(GRID, np.zeros((3, GRID.n - 1)))
+        with pytest.raises(ValueError):
+            Spectrum(GRID, np.zeros((GRID.n, 3), dtype=complex))
+        with pytest.raises(ValueError):
+            apply_multiplier(dft(self.stack()), np.ones((self.ROWS - 1, GRID.n)))
+
+    def test_guard_checks_each_row_against_its_own_norm(self):
+        # row 0 carries a norm a million times larger than row 5's, so a guard
+        # that set the stack's largest residue against the stack's norm would
+        # miss the broken row 5
+        coeffs = dft(self.stack()).coeffs
+        coeffs[0] *= 1e6
+        coeffs[5] = dft(random_signal(seed=11)).coeffs
+        coeffs[5, 1] += 0.01
+        with pytest.raises(SymmetryError):
+            idft(Spectrum(GRID, coeffs))
+        coeffs[5, 1] -= 0.01
+        idft(Spectrum(GRID, coeffs))
+
 
 class TestNorms:
     def test_l2_zero(self):
