@@ -14,7 +14,8 @@ with 17 significant digits, so identical configurations produce
 byte-identical files.  Exit codes: 0 on success, 2 on configuration errors,
 3 when an internal consistency guard fires during the run (a
 :class:`SymmetryError`, or a numeric precondition of the library raising
-``ValueError``, such as a noise level whose realized norm overflows).
+``ValueError``, such as a noise level whose realized norm overflows) or the
+grid's tables or run do not fit in memory.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -58,6 +61,15 @@ EXAMPLE_PRESETS = {
 
 class ConfigError(Exception):
     """Invalid experiment configuration."""
+
+
+@contextmanager
+def _grid_memory(grid: TimeGrid) -> Iterator[None]:
+    """Re-raise a ``MemoryError`` of the block with the grid size in its message."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory on a grid of {grid.n} samples") from exc
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,8 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             # the run reuses these cached tables
-            tables = _tables(self.params, grid)
+            with _grid_memory(grid):
+                tables = _tables(self.params, grid)
         if not (np.isfinite(tables.inverse).all() and np.isfinite(tables.kernel).all()
                 and tables.kernel.all()):
             raise ConfigError(
@@ -148,9 +161,15 @@ def preset_source(preset_id: str, grid: TimeGrid) -> RealSignal:
         inside = (0.0 <= times) & (times <= 10.0)
         return RealSignal(grid, np.where(low, -1.0, np.where(inside, 1.0, 0.0)))
     if preset_id == "exp":
-        samples = [6.51 * math.exp(-t) if 0.0 <= t <= 10.0 else 0.0 for t in times]
-        return RealSignal(grid, samples)
+        # math.exp, not np.exp: the two differ in the last bit on some samples
+        decay = [6.51 * math.exp(-t) for t in times.tolist()]
+        return RealSignal(grid, np.where((0.0 <= times) & (times <= 10.0), decay, 0.0))
     raise ConfigError(f"unknown source preset {preset_id!r}")
+
+
+# Rows of a signals file formatted at a time; it bounds the text in memory.
+# "%.17g" % x and f"{x:.17g}" give the same bytes (PyOS_double_to_string).
+_SIGNALS_BLOCK = 4096
 
 
 def _fmt(value: float | None) -> str:
@@ -206,16 +225,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ([_fmt(e["epsilon"])] + [_fmt(e[label]) for label in summary_labels] for e in summary),
     )
 
-    times = grid.times()
-    header = ["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected]
-    for cell in cells:
-        signal_path = cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv"
-        columns = np.column_stack(
-            [times, f_true.samples, cell.y.samples, cell.y_noisy.samples]
-            + [cell.estimates[label].samples for label in selected]
-        )
-        _write_csv(signal_path, header, ([f"{v:.17g}" for v in row.tolist()] for row in columns))
-        files.append(signal_path)
+    # t, f_true and y are the same in every file: format them once per block
+    shared = [grid.times(), f_true.samples, cells[0].y.samples]
+    header = ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected])
+    signal_paths = [cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv" for cell in cells]
+    for start in range(0, grid.n, _SIGNALS_BLOCK):
+        block = slice(start, start + _SIGNALS_BLOCK)
+        shared_rows = zip(*(column[block].tolist() for column in shared))
+        prefixes = ["%.17g,%.17g,%.17g" % row for row in shared_rows]
+        template = ("%s" + ",%.17g" * (1 + len(selected)) + "\n") * len(prefixes)
+        for cell, path in zip(cells, signal_paths):
+            columns = [cell.y_noisy] + [cell.estimates[label] for label in selected]
+            own = (column.samples[block].tolist() for column in columns)
+            values = chain.from_iterable(zip(prefixes, *own))
+            # "w" on the first block drops whatever an earlier run left in the file
+            with path.open("a" if start else "w") as fh:
+                if not start:
+                    fh.write(header + "\n")
+                fh.write(template % tuple(values))
+    files += signal_paths
 
     return ExperimentReport(
         config=cfg, cells=tuple(cells), rows=rows, summary=tuple(summary),
@@ -371,11 +399,12 @@ def main(argv: list[str] | None = None) -> int:
         # floating-point trouble ends in an error or a guard failure, not a warning
         with np.errstate(all="ignore"):
             cfg = _build_config(args)
-            report = run_experiment(cfg)
+            with _grid_memory(cfg.grid()):
+                report = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SymmetryError, ValueError) as exc:
+    except (SymmetryError, ValueError, MemoryError) as exc:
         print(f"guard failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracsrc
@@ -57,6 +58,12 @@ class TestPresetSource:
         assert sample_at(f, 2.0) == pytest.approx(6.51 * math.exp(-2.0), rel=1e-15)
         assert sample_at(f, 10.0) == pytest.approx(6.51 * math.exp(-10.0), rel=1e-15)
         assert sample_at(f, 12.0) == 0.0
+
+    @pytest.mark.parametrize("grid", [TimeGrid(256, 10.0), TimeGrid(65536, 10.0),
+                                      TimeGrid(65536, 40.0)])
+    def test_exponential_matches_the_scalar_loop_bit_for_bit(self, grid):
+        expected = [6.51 * math.exp(-t) if 0.0 <= t <= 10.0 else 0.0 for t in grid.times()]
+        assert preset_source("exp", grid).samples.tobytes() == np.array(expected).tobytes()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -204,6 +211,20 @@ class TestMainExitCodes:
         assert rc == 3
         assert "guard failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["_tables", "run_sweep"])
+    def test_out_of_memory_exits_three_naming_the_grid(self, tmp_path, monkeypatch, capsys,
+                                                       target):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        rc = main(["run", "--example", "1", "--n", "64", "--pad", "2", "--eps", "0.1",
+                   "--seeds", "1", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "guard failure: out of memory on a grid of 128 samples\n"
+        )
+
     def test_guard_failure_inside_idft_exits_three(self, tmp_path, monkeypatch, capsys):
         real_tables = pipeline._tables
 
@@ -349,6 +370,81 @@ class TestRunExperiment:
         assert np.array_equal(columns[3], cell.y_noisy.samples)
         assert np.array_equal(columns[4], cell.estimates["naive"].samples)
         assert np.array_equal(columns[5], cell.estimates["r1"].samples)
+
+
+def _reference_signals(f_true, cell, labels) -> str:
+    """One signals file as a row-at-a-time writer of f"{v:.17g}" fields builds it."""
+    columns = np.column_stack(
+        [f_true.grid.times(), f_true.samples, cell.y.samples, cell.y_noisy.samples]
+        + [cell.estimates[label].samples for label in labels]
+    )
+    lines = [",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in labels])]
+    lines += [",".join(f"{v:.17g}" for v in row.tolist()) for row in columns]
+    return "\n".join(lines) + "\n"
+
+
+class TestSignalsWriter:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1.7976931348623157e308)
+    def test_percent_17g_is_format_17g(self, x):
+        assert "%.17g" % x == f"{x:.17g}"
+
+    # 8192 rows: several blocks at the module's block size (None), and a
+    # ragged last block at 3000
+    @pytest.mark.parametrize("block", [None, 3000])
+    def test_blocks_match_the_reference_writer(self, tmp_path, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(cli, "_SIGNALS_BLOCK", block)
+        cfg = ExperimentConfig(
+            params=EX1_PARAMS, n=1024, t_max=10.0, pad_factor=8, source="square",
+            p=1.0, eps_list=(0.0, 0.1), seed_ids=(0, 1),
+            filters=("naive", "r1", "r2", "r3"), master_seed=5, out_dir=tmp_path,
+        )
+        report = run_experiment(cfg)
+        f_true = preset_source(cfg.source, cfg.grid())
+        signals = [path for path in report.files if path.name.startswith("signals_")]
+        assert len(signals) == len(report.cells) == 4
+        for path, cell in zip(signals, report.cells):
+            assert path.name == f"signals_{cell.epsilon:g}_{cell.seed}.csv"
+            expected = _reference_signals(f_true, cell, list(cell.estimates))
+            assert path.read_text().splitlines() == expected.splitlines()
+
+    # sha256 of every file of this run, taken from the row-at-a-time writer
+    # before the signals files were written in blocks
+    SMALL_RUN = ["--example", "2", "--n", "64", "--pad", "2", "--seeds", "2", "--eps", "0.1,0"]
+    SMALL_RUN_SHA256 = {
+        "errors.csv": "c022c2b64a03821f1689c042093e062dd01b6eaa34c05a8c978d0d2daf971fcb",
+        "summary.csv": "08f890da01c5757b62edc5b4e895721c057f5db056909f89de9baaeff24a4886",
+        "signals_0.1_0.csv":
+            "14ae535265efe2c06d7db3259418a1a674e423de54eee854d725c54b9f1e7af0",
+        "signals_0.1_1.csv":
+            "433b98874ca61c23b58f8a41b7f56473e333c77ed4e0067ea0d556252f14cb3b",
+        "signals_0_0.csv":
+            "d16b9e3a525a35381804f9e61afd14548a0a3a36df1b6d6f116a3f4a45d1d9c0",
+        "signals_0_1.csv":
+            "d16b9e3a525a35381804f9e61afd14548a0a3a36df1b6d6f116a3f4a45d1d9c0",
+    }
+
+    def test_small_run_bytes_are_pinned(self, tmp_path):
+        assert main(["run", *self.SMALL_RUN, "--out", str(tmp_path)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == self.SMALL_RUN_SHA256
+
+    def test_rerun_truncates_longer_files(self, tmp_path):
+        run = ["run", "--example", "1", "--eps", "0.1,0.01", "--seeds", "2"]
+        assert main([*run, "--n", "256", "--out", str(tmp_path / "reused")]) == 0
+        assert main([*run, "--n", "64", "--out", str(tmp_path / "reused")]) == 0
+        assert main([*run, "--n", "64", "--out", str(tmp_path / "fresh")]) == 0
+        names = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+        assert sorted(path.name for path in (tmp_path / "reused").iterdir()) == names
+        for name in names:
+            reused, fresh = tmp_path / "reused" / name, tmp_path / "fresh" / name
+            assert reused.read_bytes() == fresh.read_bytes()
 
 
 class TestGoldenFile:
