@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pipeline import ESTIMATOR_LABELS, CellResult, ErrorRow, _tables, run_sweep
-from .regularize import FilterKind
+from .pipeline import DELTA_FLOOR, CellResult, ErrorRow, _tables, delta_max_rule, run_sweep
+from .regularize import FilterKind, choose_mu
 from .spectral import RealSignal, SymmetryError, TimeGrid
 from .symbols import MediumParams
 
@@ -57,6 +57,9 @@ EXAMPLE_PRESETS = {
         "source": "exp", "p": 2.0,
     },
 }
+
+# naive first, then the filters, mirroring the output column order
+ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
 
 
 class ConfigError(Exception):
@@ -117,6 +120,13 @@ class ExperimentConfig:
                 )
         if not (self.p > 0.0 and math.isfinite(self.p)):
             raise ConfigError(f"smoothness order p must be positive, got {self.p!r}")
+        # mu grows with delta: a mu of 1 at the least delta fails every filtered row
+        least_mu = choose_mu(DELTA_FLOOR, delta_max_rule(DELTA_FLOOR), self.p)
+        if least_mu == 1.0 and set(self.filters) - {"naive"}:
+            raise ConfigError(
+                f"smoothness order p is too large: the rule's mu rounds to 1 at every "
+                f"noise level, got {self.p!r}"
+            )
         if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
             raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
         # a degenerate medium or grid ends in a ConfigError, not a numpy warning

@@ -8,9 +8,11 @@ with an integer derived deterministically from ``(master_seed, noise-level
 index, seed identifier)`` via ``numpy.random.SeedSequence``; results are
 therefore bit-reproducible regardless of execution order.
 
-The sweep scores one noise level's seeds as one stack of measurements, a
-row per cell: one forward transform, then one gain table and one inverse
-transform per estimator.  ``run_cell`` is the same code on a one-row stack.
+The sweep scores a noise level as arrays, a row per cell: one stack of noisy
+measurements, one forward transform, then per estimator one gain table and
+one inverse transform, and ``delta``, ``mu``, errors and bounds one per row.
+The per-cell results, views of those rows, are built on return; ``run_cell``
+is the same code on one row.
 
 The multiplier tables (``Lambda`` and ``G(x0, .)`` on the grid's bins) depend
 only on the medium and the grid, so they are sampled once per
@@ -32,11 +34,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .regularize import FilterKind, RegParams, attenuation, choose_mu, error_bound
+from .regularize import FilterKind, _error_bounds, attenuation, choose_mu
 from .spectral import (
     RealSignal,
     Spectrum,
     TimeGrid,
+    _row_views,
     apply_multiplier,
     dft,
     hp_norm,
@@ -66,10 +69,6 @@ __all__ = [
 # the quartic filter, the widest of the three, attenuates the extreme bin of
 # a 256-point window on [0, 10] by less than 1e-5.
 DELTA_FLOOR = 1e-20
-
-# naive first, then the filters, mirroring the output column order
-ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -213,37 +212,38 @@ def _run_cells(
     f_true: RealSignal, y: RealSignal, params: MediumParams, p: float, epsilon: float,
     seeds: list[tuple[int, int]], filters: tuple[str, ...], c_bound: float,
 ) -> list[CellResult]:
-    """Score the cells of one noise level, given as ``(seed id, rng seed)`` pairs.
-
-    The noisy measurements form one stack, a row per cell: one forward
-    transform, then per estimator one gain table and one inverse transform.
-    """
-    noisy = [add_noise(y, NoiseSpec(epsilon, rng_seed)) for _, rng_seed in seeds]
-    deltas = [max(realized, DELTA_FLOOR) for _, realized in noisy]
-    delta_maxes = [delta_max_rule(delta) for delta in deltas]
-    spectrum = dft(RealSignal(y.grid, np.stack([y_noisy.samples for y_noisy, _ in noisy])))
+    """Score one noise level's cells, given as ``(seed id, rng seed)`` pairs, as one stack."""
+    stack = np.zeros((len(seeds), y.grid.n))  # the noise, then y_noisy
+    for row, (_, rng_seed) in zip(stack, seeds):
+        if NoiseSpec(epsilon, rng_seed).sigma > 0.0:
+            row[:] = np.random.default_rng(rng_seed).normal(0.0, epsilon, y.grid.n)
+    delta = np.maximum(np.sqrt(y.grid.dt * np.sum(stack * stack, axis=-1)), DELTA_FLOOR).tolist()
+    stack += y.samples
+    y_noisy = RealSignal(y.grid, stack)
+    delta_max = [delta_max_rule(d) for d in delta]
+    spectrum = dft(y_noisy)
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
-    for label in ESTIMATOR_LABELS:
-        if label not in filters:
-            continue
-        if label == "naive":
-            mus = bounds = [None] * len(seeds)
-            estimate = _invert(spectrum, params)
-        else:
-            kind = FilterKind(label)
-            mus = [choose_mu(d, d_max, p) for d, d_max in zip(deltas, delta_maxes)]
-            bounds = [error_bound(kind, c_bound, RegParams(mu, p, d, d_max), params)
-                      for mu, d, d_max in zip(mus, deltas, delta_maxes)]
-            estimate = _invert(spectrum, params, kind, np.array(mus)[:, None])
-        columns[label] = (estimate.samples, mus, relative_error(estimate, f_true), bounds)
+    if "naive" in filters:
+        estimate = _invert(spectrum, params)
+        none = [None] * len(seeds)
+        columns["naive"] = (estimate, none, relative_error(estimate, f_true).tolist(), none)
+    kinds = [kind for kind in FilterKind if kind.value in filters]
+    if kinds:
+        mu = [choose_mu(d, d_max, p) for d, d_max in zip(delta, delta_max)]
+        bounds = _error_bounds(kinds, c_bound, mu, p, delta, delta_max, params)
+        for kind, bound in zip(kinds, bounds):
+            estimate = _invert(spectrum, params, kind, np.array(mu)[:, None])
+            columns[kind.value] = (estimate, mu, relative_error(estimate, f_true).tolist(), bound)
+    y_noisy = _row_views(y_noisy)
+    estimates = {label: _row_views(column[0]) for label, column in columns.items()}
     return [
         CellResult(
-            epsilon, seed_id, rng_seed, deltas[i], delta_maxes[i], y, noisy[i][0],
-            {label: RealSignal(y.grid, stack[i]) for label, (stack, *_) in columns.items()},
+            epsilon, seed_id, rng_seed, delta[i], delta_max[i], y, y_noisy[i],
+            {label: rows[i] for label, rows in estimates.items()},
             tuple(
-                ErrorRow(epsilon, seed_id, label, mus[i], deltas[i], delta_maxes[i],
-                         float(errors[i]), bounds[i])
-                for label, (_, mus, errors, bounds) in columns.items()
+                ErrorRow(epsilon, seed_id, label, mu[i], delta[i], delta_max[i],
+                         rel_err[i], bound[i])
+                for label, (_, mu, rel_err, bound) in columns.items()
             ),
         )
         for i, (seed_id, rng_seed) in enumerate(seeds)

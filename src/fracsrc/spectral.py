@@ -133,6 +133,17 @@ class Spectrum:
         return self.grid.frequencies()
 
 
+def _row_views(stack: RealSignal) -> list[RealSignal]:
+    """The rows of a checked stack as signals sharing its memory, not checked again."""
+    views = []
+    for samples in stack.samples:
+        view = object.__new__(RealSignal)
+        object.__setattr__(view, "grid", stack.grid)
+        object.__setattr__(view, "samples", samples)
+        views.append(view)
+    return views
+
+
 def dft(signal: RealSignal) -> Spectrum:
     """Forward transform, ``coeffs = dt / sqrt(2 pi) * FFT(samples)``."""
     scale = signal.grid.dt / math.sqrt(2.0 * math.pi)

@@ -196,7 +196,6 @@ def _filter_sup_violations():
 
 def _weighted_gap_violations():
     xi_grid = np.concatenate([[0.0], np.logspace(-3, 6, 46), -np.logspace(-3, 6, 46)])
-    params = EXAMPLES[1]["params"]
     count = 0
     for p in (0.5, 1.0, 2.0, 3.0, 5.0):
         for mu in (0.9, 0.5, 0.1, 0.01, 0.001):

@@ -89,6 +89,8 @@ class TestConfigValidation:
     def test_accepts_valid(self, tmp_path):
         cfg = ExperimentConfig(**self.base_kwargs(out_dir=tmp_path))
         assert cfg.grid().n == 256
+        # p sets no mu without a filter
+        ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, p=1e300, filters=("naive",)))
 
     def test_pad_factor_scales_grid(self, tmp_path):
         cfg = ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, pad_factor=4))
@@ -107,6 +109,7 @@ class TestConfigValidation:
             dict(seed_ids=()),
             dict(source="triangle"),
             dict(p=0.0),
+            dict(p=1e300),  # the rule's mu rounds to 1 even at DELTA_FLOOR
             dict(pad_factor=0),
             dict(n=100),
             dict(seed_ids=(-1, 2)),
@@ -167,6 +170,8 @@ class TestMainExitCodes:
             (["--n", "abc"], None, 2, "error: n:"),
             (["--example", "3"], None, 2, "error: example:"),
             (["--eps", "1e300"], None, 3, "guard failure:"),
+            (["--p", "1e300"], None, 2, "error: smoothness order p"),
+            (["--p", "1e17"], None, 3, "guard failure: mu must lie in (0, 1)"),
             ([], {"n": "abc"}, 2, "error: n:"),
             ([], {"eps": [0.1, "x"]}, 2, "error: eps:"),
             ([], {"eps": 0.1}, 2, "error: eps:"),

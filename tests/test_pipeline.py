@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fracsrc.pipeline import (
     run_sweep,
     synthesize_data,
 )
-from fracsrc.regularize import FilterKind, attenuation
+from fracsrc.regularize import FilterKind, RegParams, attenuation, choose_mu, error_bound
 from fracsrc.spectral import RealSignal, TimeGrid, dft, hp_norm, l2_norm
 from fracsrc.symbols import MediumParams, forward_kernel
 
@@ -282,6 +283,68 @@ class TestSweep:
             assert list(single.estimates) == list(cell.estimates) == list(ALL_ESTIMATORS)
             for label, estimate in cell.estimates.items():
                 assert single.estimates[label].samples.tobytes() == estimate.samples.tobytes()
+
+    @pytest.mark.parametrize("params,name", [(EX1, "square"), (EX2, "exp")])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_level_arrays_match_the_scalar_reference(self, params, name, p):
+        # every row equals, bit for bit, the scalar functions on that cell
+        f = preset_source(name, GRID)
+        cells = run_sweep(f, params, p, (0.0, 0.1, 1e-3, 1e-5), tuple(range(5)), ALL_ESTIMATORS, 3)
+        y = synthesize_data(f, params)
+        c_bound = float(hp_norm(dft(f), p))
+        for cell in cells:
+            noisy, realized = add_noise(y, NoiseSpec(cell.epsilon, cell.rng_seed))
+            assert cell.y_noisy.samples.tobytes() == noisy.samples.tobytes()
+            for row in cell.rows:
+                assert row.delta == cell.delta == max(realized, DELTA_FLOOR)
+                assert row.delta_max == cell.delta_max == delta_max_rule(row.delta)
+                if row.filter == "naive":
+                    continue
+                assert row.mu == choose_mu(row.delta, row.delta_max, p)
+                kind, reg = FilterKind(row.filter), RegParams(row.mu, p, row.delta, row.delta_max)
+                assert row.theory_bound == error_bound(kind, c_bound, reg, params)
+
+    @pytest.mark.parametrize(
+        "p, eps_list, seed_ids",
+        [
+            (1.0, (0.1, 1e300), (0, 1, 2)),  # delta overflows: delta_max_rule
+            (1.0, (1e308,), (0, 1, 2)),  # the noisy samples overflow
+            (1.0, (-0.1,), (0, 1)),  # NoiseSpec
+            (1.0, (3e15,), (1, 2, 0)),  # delta == delta_max on a later row: choose_mu
+            (1.0, (2e15,), (0, 1, 2)),  # mu rounds to 1: RegParams
+            (1e300, (0.1,), (0, 1)),  # RegParams
+            (0.0, (0.0, 0.1), (0, 1)),  # choose_mu's p check
+        ],
+    )
+    def test_level_checks_raise_the_scalar_errors(self, square, p, eps_list, seed_ids):
+        # the first error of the scalar calls, cell by cell in the sweep's order
+        y = synthesize_data(square, EX1)
+        with np.errstate(all="ignore"):
+            c_bound = float(hp_norm(dft(square), p))
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as scalar:
+            for i_eps, eps in enumerate(eps_list):
+                noisy = [add_noise(y, NoiseSpec(eps, cell_seed(7, i_eps, s))) for s in seed_ids]
+                deltas = [max(realized, DELTA_FLOOR) for _, realized in noisy]
+                d_maxes = [delta_max_rule(delta) for delta in deltas]
+                mus = [choose_mu(d, d_max, p) for d, d_max in zip(deltas, d_maxes)]
+                for mu, d, d_max in zip(mus, deltas, d_maxes):
+                    error_bound(FilterKind.RATIONAL2, c_bound, RegParams(mu, p, d, d_max), EX1)
+        message = re.escape(str(scalar.value))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            run_sweep(square, EX1, p, eps_list, seed_ids, ALL_ESTIMATORS, 7)
+
+    def test_validation_scales_with_levels_and_estimators_not_cells(self, square, monkeypatch):
+        # one check per stack, not per cell
+        real_check = RealSignal.__post_init__
+        calls = []
+        monkeypatch.setattr(RealSignal, "__post_init__", lambda s: calls.append(s) or real_check(s))
+        eps_list = (0.0, 0.1)
+        counts = []
+        for seed_ids in ((0,), tuple(range(10))):
+            calls.clear()
+            run_sweep(square, EX1, 1.0, eps_list, seed_ids, ALL_ESTIMATORS, 7)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 1 + len(eps_list) * (1 + 2 * len(ALL_ESTIMATORS))
 
     def test_cell_seeds_are_distinct(self):
         seeds = {cell_seed(9, i, j) for i in range(5) for j in range(20)}
