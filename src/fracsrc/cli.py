@@ -11,8 +11,8 @@ and writes three kinds of plain-CSV files into the output directory:
 Every run setting is declared once, in :data:`SETTINGS`; its flag, its JSON
 config key and its parsing all come from that entry.  Floats are serialized
 with 17 significant digits, so identical configurations produce
-byte-identical files.  Exit codes: 0 on success, 2 on configuration errors,
-3 when an internal consistency guard fires during the run (a
+byte-identical files.  Exit codes: 0 on success, 2 on configuration errors
+and unwritable outputs, 3 when an internal consistency guard fires (a
 :class:`SymmetryError`, or a numeric precondition of the library raising
 ``ValueError``, such as a noise level whose realized norm overflows) or the
 grid's tables or run do not fit in memory.
@@ -120,28 +120,22 @@ class ExperimentConfig:
                 )
         if not (self.p > 0.0 and math.isfinite(self.p)):
             raise ConfigError(f"smoothness order p must be positive, got {self.p!r}")
-        # mu grows with delta: a mu of 1 at the least delta fails every filtered row
-        least_mu = choose_mu(DELTA_FLOOR, delta_max_rule(DELTA_FLOOR), self.p)
-        if least_mu == 1.0 and set(self.filters) - {"naive"}:
-            raise ConfigError(
-                f"smoothness order p is too large: the rule's mu rounds to 1 at every "
-                f"noise level, got {self.p!r}"
-            )
         if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
             raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
-        # a degenerate medium or grid ends in a ConfigError, not a numpy warning
-        with np.errstate(all="ignore"):
-            try:
-                grid = self.grid()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            # the run reuses these cached tables
+        try:
+            grid = self.grid()
             with _grid_memory(grid):
-                tables = _tables(self.params, grid)
-        if not (np.isfinite(tables.inverse).all() and np.isfinite(tables.kernel).all()
-                and tables.kernel.all()):
+                _tables(self.params, grid)  # checks the medium; the run reuses the cache
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # mu grows with delta: a mu of 1 at the least delta fails every filtered row
+        least_mu = choose_mu(DELTA_FLOOR, delta_max_rule(DELTA_FLOOR), self.p)
+        nyquist = math.pi / grid.dt  # where the bound's Sobolev weight (1 + xi^2)^p peaks
+        overflows = self.p * math.log1p(nyquist * nyquist) > math.log(sys.float_info.max)
+        if (least_mu == 1.0 or overflows) and set(self.filters) - {"naive"}:
             raise ConfigError(
-                f"Lambda or G(x0, .) is not finite and nonzero for {self.params} on {grid}"
+                f"smoothness order p is too large: the rule's mu rounds to 1 at every "
+                f"noise level or the Sobolev weight overflows on {grid}, got {self.p!r}"
             )
 
     def grid(self) -> TimeGrid:
@@ -206,22 +200,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     selected = list(cells[0].estimates)
     summary_labels = sorted(selected, key="naive".__eq__)
 
-    try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot create {cfg.out_dir}: {exc}") from exc
-    files = [cfg.out_dir / "errors.csv", cfg.out_dir / "summary.csv"]
-
-    _write_csv(
-        files[0],
-        ["epsilon", "seed", "filter", "mu", "delta", "delta_max", "rel_err", "theory_bound"],
-        (
-            [_fmt(r.epsilon), str(r.seed), r.filter, _fmt(r.mu), _fmt(r.delta),
-             _fmt(r.delta_max), _fmt(r.rel_err), _fmt(r.theory_bound)]
-            for r in rows
-        ),
-    )
-
     summary = []
     for epsilon in cfg.eps_list:
         entry: dict = {"epsilon": epsilon}
@@ -229,31 +207,45 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             errs = [r.rel_err for r in rows if r.epsilon == epsilon and r.filter == label]
             entry[label] = sum(errs) / len(errs)
         summary.append(entry)
-    _write_csv(
-        files[1],
-        ["epsilon"] + [f"rel_err_{label}" for label in summary_labels],
-        ([_fmt(e["epsilon"])] + [_fmt(e[label]) for label in summary_labels] for e in summary),
-    )
 
     # t, f_true and y are the same in every file: format them once per block
     shared = [grid.times(), f_true.samples, cells[0].y.samples]
     header = ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected])
     signal_paths = [cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv" for cell in cells]
-    for start in range(0, grid.n, _SIGNALS_BLOCK):
-        block = slice(start, start + _SIGNALS_BLOCK)
-        shared_rows = zip(*(column[block].tolist() for column in shared))
-        prefixes = ["%.17g,%.17g,%.17g" % row for row in shared_rows]
-        template = ("%s" + ",%.17g" * (1 + len(selected)) + "\n") * len(prefixes)
-        for cell, path in zip(cells, signal_paths):
-            columns = [cell.y_noisy] + [cell.estimates[label] for label in selected]
-            own = (column.samples[block].tolist() for column in columns)
-            values = chain.from_iterable(zip(prefixes, *own))
-            # "w" on the first block drops whatever an earlier run left in the file
-            with path.open("a" if start else "w") as fh:
-                if not start:
-                    fh.write(header + "\n")
-                fh.write(template % tuple(values))
-    files += signal_paths
+    files = [cfg.out_dir / "errors.csv", cfg.out_dir / "summary.csv", *signal_paths]
+    # a failed write leaves the files written before it
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_csv(
+            files[0],
+            ["epsilon", "seed", "filter", "mu", "delta", "delta_max", "rel_err", "theory_bound"],
+            (
+                [_fmt(r.epsilon), str(r.seed), r.filter, _fmt(r.mu), _fmt(r.delta),
+                 _fmt(r.delta_max), _fmt(r.rel_err), _fmt(r.theory_bound)]
+                for r in rows
+            ),
+        )
+        _write_csv(
+            files[1],
+            ["epsilon"] + [f"rel_err_{label}" for label in summary_labels],
+            ([_fmt(e["epsilon"])] + [_fmt(e[label]) for label in summary_labels] for e in summary),
+        )
+        for start in range(0, grid.n, _SIGNALS_BLOCK):
+            block = slice(start, start + _SIGNALS_BLOCK)
+            shared_rows = zip(*(column[block].tolist() for column in shared))
+            prefixes = ["%.17g,%.17g,%.17g" % row for row in shared_rows]
+            template = ("%s" + ",%.17g" * (1 + len(selected)) + "\n") * len(prefixes)
+            for cell, path in zip(cells, signal_paths):
+                columns = [cell.y_noisy] + [cell.estimates[label] for label in selected]
+                own = (column.samples[block].tolist() for column in columns)
+                values = chain.from_iterable(zip(prefixes, *own))
+                # "w" on the first block drops whatever an earlier run left in the file
+                with path.open("a" if start else "w") as fh:
+                    if not start:
+                        fh.write(header + "\n")
+                    fh.write(template % tuple(values))
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write to {cfg.out_dir}: {exc}") from exc
 
     return ExperimentReport(
         config=cfg, cells=tuple(cells), rows=rows, summary=tuple(summary),

@@ -122,12 +122,16 @@ class _Tables(NamedTuple):
     kernel: np.ndarray  # G(x0, .)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)  # a sweep needs one entry; the bound caps memory
 def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
-    """Tables for one (medium, grid); a sweep needs one entry, the bound caps memory."""
-    xi = grid.frequencies()
-    inverse, kernel = symbol_tables(xi, params)
-    tables = _Tables(xi, multiplier_values(grid, inverse), multiplier_values(grid, kernel))
+    """Tables for one (medium, grid); raises ValueError if Lambda or G is not finite or G is 0."""
+    with np.errstate(all="ignore"):
+        xi = grid.frequencies()
+        inverse, kernel = symbol_tables(xi, params)
+        tables = _Tables(xi, multiplier_values(grid, inverse), multiplier_values(grid, kernel))
+    if not (np.isfinite(tables.inverse).all() and np.isfinite(tables.kernel).all()
+            and tables.kernel.all()):
+        raise ValueError(f"Lambda or G(x0, .) is not finite and nonzero for {params} on {grid}")
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -145,7 +149,7 @@ def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
     ``sqrt(dt sum eta_k^2)``, with expectation ``sigma sqrt(t_max)``.
     """
     rng = np.random.default_rng(spec.seed)
-    eta = rng.normal(0.0, spec.sigma, y.grid.n) if spec.sigma > 0.0 else np.zeros(y.grid.n)
+    eta = rng.normal(0.0, spec.sigma, y.grid.n)  # +0.0 in every sample when sigma is 0
     noisy = RealSignal(y.grid, y.samples + eta)
     delta = math.sqrt(y.grid.dt * float(np.sum(eta * eta)))
     return noisy, delta
@@ -213,10 +217,10 @@ def _run_cells(
     seeds: list[tuple[int, int]], filters: tuple[str, ...], c_bound: float,
 ) -> list[CellResult]:
     """Score one noise level's cells, given as ``(seed id, rng seed)`` pairs, as one stack."""
+    NoiseSpec(epsilon, 0)  # checks the level; each row draws it as add_noise does
     stack = np.zeros((len(seeds), y.grid.n))  # the noise, then y_noisy
     for row, (_, rng_seed) in zip(stack, seeds):
-        if NoiseSpec(epsilon, rng_seed).sigma > 0.0:
-            row[:] = np.random.default_rng(rng_seed).normal(0.0, epsilon, y.grid.n)
+        row[:] = np.random.default_rng(rng_seed).normal(0.0, epsilon, y.grid.n)
     delta = np.maximum(np.sqrt(y.grid.dt * np.sum(stack * stack, axis=-1)), DELTA_FLOOR).tolist()
     stack += y.samples
     y_noisy = RealSignal(y.grid, stack)

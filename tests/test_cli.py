@@ -89,8 +89,11 @@ class TestConfigValidation:
     def test_accepts_valid(self, tmp_path):
         cfg = ExperimentConfig(**self.base_kwargs(out_dir=tmp_path))
         assert cfg.grid().n == 256
-        # p sets no mu without a filter
-        ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, p=1e300, filters=("naive",)))
+        # the Sobolev weight (1 + xi^2)^p stays finite at n = 256 up to p = 80.9
+        ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, p=80.0))
+        # p sets no mu and no bound without a filter
+        for p in (1000.0, 1e300):
+            ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, p=p, filters=("naive",)))
 
     def test_pad_factor_scales_grid(self, tmp_path):
         cfg = ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, pad_factor=4))
@@ -120,6 +123,7 @@ class TestConfigValidation:
             dict(params=MediumParams(omega=1e-300, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)),
             dict(t_max=1e-320),
             dict(t_max=5e-324),
+            dict(p=81.0),  # the Sobolev weight overflows at the Nyquist bin
         ],
     )
     def test_rejects_invalid(self, tmp_path, overrides):
@@ -171,7 +175,7 @@ class TestMainExitCodes:
             (["--example", "3"], None, 2, "error: example:"),
             (["--eps", "1e300"], None, 3, "guard failure:"),
             (["--p", "1e300"], None, 2, "error: smoothness order p"),
-            (["--p", "1e17"], None, 3, "guard failure: mu must lie in (0, 1)"),
+            (["--p", "1e17"], None, 2, "error: smoothness order p"),
             ([], {"n": "abc"}, 2, "error: n:"),
             ([], {"eps": [0.1, "x"]}, 2, "error: eps:"),
             ([], {"eps": 0.1}, 2, "error: eps:"),
@@ -179,6 +183,8 @@ class TestMainExitCodes:
             ([], {"seeds": [True]}, 2, "error: seeds:"),
             ([], {"example": True}, 2, "error: example:"),
             ([], {"out": 5}, 2, "error: out:"),
+            (["--p", "400"], None, 2, "error: smoothness order p"),
+            (["--eps", "2e15"], None, 3, "guard failure: mu must lie in (0, 1)"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
@@ -201,6 +207,16 @@ class TestMainExitCodes:
                    "--out", str(taken)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: out:")
+
+    @pytest.mark.parametrize("squatted", ["errors.csv", "signals_0.1_0.csv"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, squatted):
+        out = tmp_path / "out"
+        (out / squatted).mkdir(parents=True)
+        rc = main(["run", "--example", "1", "--n", "8", "--eps", "0.1", "--seeds", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out:") and err.count("\n") == 1, err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

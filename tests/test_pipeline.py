@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fracsrc.symbols import MediumParams, forward_kernel
 
 EX1 = MediumParams(omega=0.1, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)
 EX2 = MediumParams(omega=0.01, beta=0.5, nu=1.51, alpha=0.3, x0=10.0)
+DEGENERATE = MediumParams(omega=1e-300, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)
 GRID = TimeGrid(256, 10.0)
 ALL_ESTIMATORS = ("naive", "r1", "r2", "r3")
 FILTER_LABELS = ("r1", "r2", "r3")
@@ -98,6 +100,21 @@ class TestTables:
         for table in (tables.inverse, tables.kernel, *filtered):
             assert table[half].imag == 0.0
             assert table[half].real > 0.0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda f: synthesize_data(f, DEGENERATE),
+            lambda f: run_sweep(f, DEGENERATE, 1.0, (0.1,), (0,), ALL_ESTIMATORS, 7),
+        ],
+        ids=["synthesize_data", "run_sweep"],
+    )
+    def test_degenerate_medium_raises_without_warning(self, square, entry):
+        _tables.cache_clear()  # a cached entry would skip the evaluation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("Lambda or G(x0, .)")):
+                entry(square)
 
     def test_shared_and_read_only(self):
         tables = _tables(EX1, TimeGrid(256, 10.0))
@@ -345,6 +362,10 @@ class TestSweep:
             run_sweep(square, EX1, 1.0, eps_list, seed_ids, ALL_ESTIMATORS, 7)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 1 + len(eps_list) * (1 + 2 * len(ALL_ESTIMATORS))
+
+    def test_noise_level_is_checked_without_seeds(self, square):
+        with pytest.raises(ValueError, match="sigma must be a nonnegative finite real"):
+            run_sweep(square, EX1, 1.0, (-0.1,), (), ALL_ESTIMATORS, 7)
 
     def test_cell_seeds_are_distinct(self):
         seeds = {cell_seed(9, i, j) for i in range(5) for j in range(20)}
