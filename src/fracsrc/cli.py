@@ -33,7 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pipeline import DELTA_FLOOR, CellResult, ErrorRow, _tables, delta_max_rule, run_sweep
+from .pipeline import (
+    DELTA_FLOOR, CellResult, ErrorRow, _check_filters, _tables, delta_max_rule, run_sweep,
+)
 from .regularize import FilterKind, choose_mu
 from .spectral import RealSignal, SymmetryError, TimeGrid
 from .symbols import MediumParams
@@ -57,9 +59,6 @@ EXAMPLE_PRESETS = {
         "source": "exp", "p": 2.0,
     },
 }
-
-# naive first, then the filters, mirroring the output column order
-ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
 
 
 class ConfigError(Exception):
@@ -113,16 +112,12 @@ class ExperimentConfig:
             raise ConfigError(f"master seed must be nonnegative, got {self.master_seed}")
         if not self.filters:
             raise ConfigError("filter set must not be empty")
-        for label in self.filters:
-            if label not in ESTIMATOR_LABELS:
-                raise ConfigError(
-                    f"unknown filter {label!r}; choose from {', '.join(ESTIMATOR_LABELS)}"
-                )
-        if not (self.p > 0.0 and math.isfinite(self.p)):
-            raise ConfigError(f"smoothness order p must be positive, got {self.p!r}")
-        if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
-            raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
-        try:
+        try:  # the library's checks raise ValueError
+            _check_filters(self.filters)
+            if not (self.p > 0.0 and math.isfinite(self.p)):
+                raise ConfigError(f"smoothness order p must be positive, got {self.p!r}")
+            if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
+                raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
             grid = self.grid()
             with _grid_memory(grid):
                 _tables(self.params, grid)  # checks the medium; the run reuses the cache

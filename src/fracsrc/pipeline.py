@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .regularize import FilterKind, _error_bounds, attenuation, choose_mu
+from .regularize import FilterKind, RegParams, attenuation, choose_mu, error_bound
 from .spectral import (
     RealSignal,
     Spectrum,
@@ -64,6 +64,9 @@ __all__ = [
     "run_cell",
     "run_sweep",
 ]
+
+# naive first, then the filters, mirroring the output column order
+ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
 
 # Stand-in noise level for noise-free runs.  With mu = DELTA_FLOOR^(1/(p+2))
 # the quartic filter, the widest of the three, attenuates the extreme bin of
@@ -212,11 +215,21 @@ def cell_seed(master_seed: int, eps_index: int, seed_id: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
+def _check_filters(filters: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first label that is not an estimator."""
+    for label in filters:
+        if label not in ESTIMATOR_LABELS:
+            raise ValueError(
+                f"unknown filter {label!r}; choose from {', '.join(ESTIMATOR_LABELS)}"
+            )
+
+
 def _run_cells(
     f_true: RealSignal, y: RealSignal, params: MediumParams, p: float, epsilon: float,
     seeds: list[tuple[int, int]], filters: tuple[str, ...], c_bound: float,
 ) -> list[CellResult]:
     """Score one noise level's cells, given as ``(seed id, rng seed)`` pairs, as one stack."""
+    _check_filters(filters)
     NoiseSpec(epsilon, 0)  # checks the level; each row draws it as add_noise does
     stack = np.zeros((len(seeds), y.grid.n))  # the noise, then y_noisy
     for row, (_, rng_seed) in zip(stack, seeds):
@@ -234,8 +247,12 @@ def _run_cells(
     kinds = [kind for kind in FilterKind if kind.value in filters]
     if kinds:
         mu = [choose_mu(d, d_max, p) for d, d_max in zip(delta, delta_max)]
-        bounds = _error_bounds(kinds, c_bound, mu, p, delta, delta_max, params)
-        for kind, bound in zip(kinds, bounds):
+        bounds = {kind: [] for kind in kinds}
+        for m, d, d_max in zip(mu, delta, delta_max):
+            reg = RegParams(m, p, d, d_max)
+            for kind in kinds:
+                bounds[kind].append(error_bound(kind, c_bound, reg, params))
+        for kind, bound in bounds.items():
             estimate = _invert(spectrum, params, kind, np.array(mu)[:, None])
             columns[kind.value] = (estimate, mu, relative_error(estimate, f_true).tolist(), bound)
     y_noisy = _row_views(y_noisy)
@@ -267,10 +284,10 @@ def run_cell(
 ) -> CellResult:
     """Score one noisy measurement with every selected estimator.
 
-    ``filters`` is a subset of ``("naive", "r1", "r2", "r3")``.  The theory
-    bound is attached to filtered rows only; it bounds the absolute L2 error,
-    with ``c_bound`` standing in for the source's Sobolev norm.  This is the
-    sweep's scoring code run on a one-cell stack.
+    ``filters`` is a subset of ``ESTIMATOR_LABELS``; another label raises
+    ``ValueError``.  Filtered rows carry ``error_bound`` on their ``RegParams``,
+    a bound on the absolute L2 error with ``c_bound`` standing in for the
+    source's Sobolev norm.  This is the sweep's scoring code on a one-cell stack.
     """
     return _run_cells(f_true, y, params, p, epsilon, [(seed_id, rng_seed)], filters, c_bound)[0]
 

@@ -202,35 +202,8 @@ def error_bound(
     """
     if not (c_bound > 0.0 and math.isfinite(c_bound)):
         raise ValueError(f"c_bound must be a positive finite real, got {c_bound!r}")
-    max_term = _rate(reg.delta / reg.delta_max, reg.p)
+    ratio = reg.delta / reg.delta_max
+    exponents = (2.0 / (reg.p + 2.0), reg.p / (reg.p + 2.0), (reg.p - 2.0) / (reg.p + 2.0))
+    max_term = max(ratio**e for e in exponents)
     k_const = c_bound + reg.delta_max * const_m(kind, params.alpha, params)
     return k_const * max_term
-
-
-def _rate(ratio: float, p: float) -> float:
-    """The bound's noise factor ``max(r^(2/(p+2)), r^(p/(p+2)), r^((p-2)/(p+2)))`` at ``r``."""
-    exponents = (2.0 / (p + 2.0), p / (p + 2.0), (p - 2.0) / (p + 2.0))
-    return max(ratio**e for e in exponents)
-
-
-def _error_bounds(
-    kinds: list[FilterKind], c_bound: float, mu: list[float], p: float,
-    delta: list[float], delta_max: list[float], params: MediumParams,
-) -> list[list[float]]:
-    """``error_bound`` of each kind on rows of ``(mu, delta, delta_max)``, a list per kind.
-
-    Each bound has the bits of the scalar call.  The first row that
-    ``RegParams`` or ``error_bound`` refuses raises their error; the rows'
-    ``p`` and ``delta`` have passed ``choose_mu``, which checks them alike.
-    """
-    c_ok = c_bound > 0.0 and math.isfinite(c_bound)
-    refused = [i for i, m in enumerate(mu) if not (c_ok and 0.0 < m < 1.0)]
-    if refused:
-        i = refused[0]
-        error_bound(kinds[0], c_bound, RegParams(mu[i], p, delta[i], delta_max[i]), params)
-    rates = [_rate(d / d_max, p) for d, d_max in zip(delta, delta_max)]
-    bounds = []
-    for kind in kinds:
-        m_i = const_m(kind, params.alpha, params)
-        bounds.append([(c_bound + d_max * m_i) * rate for d_max, rate in zip(delta_max, rates)])
-    return bounds

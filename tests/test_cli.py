@@ -185,6 +185,12 @@ class TestMainExitCodes:
             ([], {"out": 5}, 2, "error: out:"),
             (["--p", "400"], None, 2, "error: smoothness order p"),
             (["--eps", "2e15"], None, 3, "guard failure: mu must lie in (0, 1)"),
+            ([], {"p": True}, 2, "error: p: expected a number"),
+            (["--alpha", "1.5"], None, 2, "error: alpha must lie in (0, 1]"),
+            # the Sobolev weight is finite at p = 356 on this grid, but not the weighted
+            # sum of the exponential source's coefficients; p = 355 runs
+            ([], {"example": 2, "n": 8, "seeds": 1, "eps": [0.1], "p": 356}, 3,
+             "guard failure: c_bound must be a positive finite real, got inf"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
@@ -198,6 +204,20 @@ class TestMainExitCodes:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config file"), ("{bad", "invalid JSON"),
+         ("[1]", "top level must be a JSON object")],
+    )
+    def test_bad_config_file_exits_with_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     def test_out_path_that_is_a_file_is_config_error(self, tmp_path, capsys):
@@ -222,6 +242,16 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--frobnicate", "1"])
         assert exc.value.code == 2
+
+    # argparse's layout varies across Python minor versions and with the width
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digest taken on Python 3.11")
+    def test_run_help_is_pinned(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "b074e82b66e55523d30a971469001ac050e033f596d5e3be6dd361e8b8f493e6"
 
     def test_guard_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -517,6 +547,19 @@ class TestSettingsTable:
         assert from_json == from_flags
         assert from_json.pad_factor == 2 and from_json.seed_ids == (4, 2)
         assert from_json.out_dir == tmp_path / "out"
+
+    def test_integral_float_in_json_is_the_integer(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"example": 1, "n": 64.0, "seeds": 1, "eps": [0.1], "out": str(tmp_path / "out")}
+        ))
+        flags = ["--example", "1", "--n", "64", "--seeds", "1", "--eps", "0.1",
+                 "--out", str(tmp_path / "out")]
+        parser = cli._build_parser()
+        from_json = cli._build_config(parser.parse_args(["run", "--config", str(config)]))
+        assert from_json == cli._build_config(parser.parse_args(["run", *flags]))
+        assert type(from_json.n) is int
+        assert main(["run", "--config", str(config)]) == 0
 
 
 # JSON values for each run setting: well-typed ones, and ill-typed,

@@ -367,6 +367,20 @@ class TestSweep:
         with pytest.raises(ValueError, match="sigma must be a nonnegative finite real"):
             run_sweep(square, EX1, 1.0, (-0.1,), (), ALL_ESTIMATORS, 7)
 
+    @pytest.mark.parametrize("entry", ["run_sweep", "run_cell"])
+    def test_unknown_filter_label_raises_before_any_noise(self, square, entry, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("noise drawn before the labels were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        message = re.escape("unknown filter 'R1'; choose from naive, r1, r2, r3")
+        with pytest.raises(ValueError, match=message):
+            if entry == "run_sweep":
+                run_sweep(square, EX1, 1.0, (0.1,), (0, 1), ("R1", "naive"), 7)
+            else:
+                y = synthesize_data(square, EX1)
+                run_cell(square, y, EX1, 1.0, 0.1, 0, 7, ("R1",), 1.0)
+
     def test_cell_seeds_are_distinct(self):
         seeds = {cell_seed(9, i, j) for i in range(5) for j in range(20)}
         assert len(seeds) == 100
