@@ -15,7 +15,8 @@ byte-identical files.  Exit codes: 0 on success, 2 on configuration errors
 and unwritable outputs, 3 when an internal consistency guard fires (a
 :class:`SymmetryError`, or a numeric precondition of the library raising
 ``ValueError``, such as a noise level whose realized norm overflows) or the
-grid's tables or run do not fit in memory.
+run does not fit in memory.  :class:`ExperimentConfig` checks the settings,
+and :func:`run_experiment` the run's data before any noise or file.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -36,8 +36,8 @@ import numpy as np
 from .pipeline import (
     DELTA_FLOOR, CellResult, ErrorRow, _check_filters, _tables, delta_max_rule, run_sweep,
 )
-from .regularize import FilterKind, choose_mu
-from .spectral import RealSignal, SymmetryError, TimeGrid
+from .regularize import FilterKind, RegParams, choose_mu, error_bound
+from .spectral import RealSignal, SymmetryError, TimeGrid, dft, hp_norm
 from .symbols import MediumParams
 
 __all__ = [
@@ -65,17 +65,10 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
-@contextmanager
-def _grid_memory(grid: TimeGrid) -> Iterator[None]:
-    """Re-raise a ``MemoryError`` of the block with the grid size in its message."""
-    try:
-        yield
-    except MemoryError as exc:
-        raise MemoryError(f"out of memory on a grid of {grid.n} samples") from exc
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Run settings, each checked on its own; ``run_experiment`` checks the run's data."""
+
     params: MediumParams
     n: int
     t_max: float
@@ -118,20 +111,9 @@ class ExperimentConfig:
                 raise ConfigError(f"smoothness order p must be positive, got {self.p!r}")
             if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
                 raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
-            grid = self.grid()
-            with _grid_memory(grid):
-                _tables(self.params, grid)  # checks the medium; the run reuses the cache
+            self.grid()  # checks n and t_max
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # mu grows with delta: a mu of 1 at the least delta fails every filtered row
-        least_mu = choose_mu(DELTA_FLOOR, delta_max_rule(DELTA_FLOOR), self.p)
-        nyquist = math.pi / grid.dt  # where the bound's Sobolev weight (1 + xi^2)^p peaks
-        overflows = self.p * math.log1p(nyquist * nyquist) > math.log(sys.float_info.max)
-        if (least_mu == 1.0 or overflows) and set(self.filters) - {"naive"}:
-            raise ConfigError(
-                f"smoothness order p is too large: the rule's mu rounds to 1 at every "
-                f"noise level or the Sobolev weight overflows on {grid}, got {self.p!r}"
-            )
 
     def grid(self) -> TimeGrid:
         """Sampling grid, window and sample count scaled by the pad factor."""
@@ -184,9 +166,22 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the configured sweep and write ``errors/summary/signals`` CSVs."""
+    """Check the run's data, then run the sweep and write ``errors/summary/signals`` CSVs."""
     grid = cfg.grid()
     f_true = preset_source(cfg.source, grid)
+    try:
+        _tables(cfg.params, grid)  # checks the medium on the grid; the run reuses the cache
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if set(cfg.filters) - {"naive"}:  # mu grows with delta: can p score the least-noise row?
+        least = (DELTA_FLOOR, delta_max_rule(DELTA_FLOOR))
+        try:
+            with np.errstate(all="ignore"):
+                c_bound = float(hp_norm(dft(f_true), cfg.p))
+            reg = RegParams(choose_mu(*least, cfg.p), cfg.p, *least)
+            error_bound(FilterKind.GAUSSIAN, c_bound, reg, cfg.params)  # every kind refuses alike
+        except ValueError as exc:
+            raise ConfigError(f"smoothness order p is too large for this source: {exc}") from exc
     cells = run_sweep(
         f_true, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed
     )
@@ -396,8 +391,10 @@ def main(argv: list[str] | None = None) -> int:
         # floating-point trouble ends in an error or a guard failure, not a warning
         with np.errstate(all="ignore"):
             cfg = _build_config(args)
-            with _grid_memory(cfg.grid()):
+            try:
                 report = run_experiment(cfg)
+            except MemoryError as exc:
+                raise MemoryError(f"out of memory on a grid of {cfg.grid().n} samples") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

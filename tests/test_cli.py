@@ -112,7 +112,6 @@ class TestConfigValidation:
             dict(seed_ids=()),
             dict(source="triangle"),
             dict(p=0.0),
-            dict(p=1e300),  # the rule's mu rounds to 1 even at DELTA_FLOOR
             dict(pad_factor=0),
             dict(n=100),
             dict(seed_ids=(-1, 2)),
@@ -120,15 +119,37 @@ class TestConfigValidation:
             dict(seed_ids=(1, 1)),
             dict(eps_list=(0.1, 0.1)),
             dict(eps_list=(0.1, 0.1000001)),  # both name signals_0.1_<seed>.csv
-            dict(params=MediumParams(omega=1e-300, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)),
-            dict(t_max=1e-320),
             dict(t_max=5e-324),
-            dict(p=81.0),  # the Sobolev weight overflows at the Nyquist bin
         ],
     )
     def test_rejects_invalid(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
             ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, **overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(p=1e300),  # the rule's mu rounds to 1 even at DELTA_FLOOR
+            dict(params=MediumParams(omega=1e-300, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)),
+            dict(t_max=1e-320),
+            dict(p=81.0),  # the square wave's Sobolev norm overflows at n = 256
+        ],
+    )
+    def test_run_refuses_the_data_before_any_file(self, tmp_path, overrides):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(**self.base_kwargs(out_dir=out, **overrides))
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
+        assert not out.exists()
+
+    def test_building_a_config_samples_no_tables(self, tmp_path, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("tables sampled")
+
+        monkeypatch.setattr(cli, "_tables", sampled)
+        cfg = ExperimentConfig(**self.base_kwargs(out_dir=tmp_path / "out"))
+        with pytest.raises(AssertionError, match="tables sampled"):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -139,10 +160,13 @@ class TestConfigValidation:
     )
     def test_degenerate_medium_or_grid_warns_nothing(self, tmp_path, overrides):
         pipeline._tables.cache_clear()  # a cached entry would skip the evaluation
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(**self.base_kwargs(out_dir=out, **overrides))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError):
-                ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, **overrides))
+                run_experiment(cfg)
+        assert not out.exists()
 
 
 class TestMainExitCodes:
@@ -189,8 +213,9 @@ class TestMainExitCodes:
             (["--alpha", "1.5"], None, 2, "error: alpha must lie in (0, 1]"),
             # the Sobolev weight is finite at p = 356 on this grid, but not the weighted
             # sum of the exponential source's coefficients; p = 355 runs
-            ([], {"example": 2, "n": 8, "seeds": 1, "eps": [0.1], "p": 356}, 3,
-             "guard failure: c_bound must be a positive finite real, got inf"),
+            ([], {"example": 2, "n": 8, "seeds": 1, "eps": [0.1], "p": 356}, 2,
+             "error: smoothness order p"),
+            (["--n", "256", "--p", "81"], None, 2, "error: smoothness order p"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
@@ -205,6 +230,19 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "example, n, runs, refused",
+        [(1, 8, 356.5, 357), (2, 8, 355.5, 356), (1, 256, 80.5, 81), (2, 256, 80.5, 81)],
+    )
+    def test_p_is_refused_exactly_where_the_sobolev_norm_overflows(
+        self, tmp_path, capsys, example, n, runs, refused
+    ):
+        argv = ["run", "--example", str(example), "--n", str(n), "--seeds", "1", "--eps", "0.1"]
+        assert main(argv + ["--p", str(runs), "--out", str(tmp_path / "runs")]) == 0
+        assert main(argv + ["--p", str(refused), "--out", str(tmp_path / "refused")]) == 2
+        assert capsys.readouterr().err.startswith("error: smoothness order p is too large")
+        assert not (tmp_path / "refused").exists()
 
     @pytest.mark.parametrize(
         "text, message",

@@ -367,6 +367,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="sigma must be a nonnegative finite real"):
             run_sweep(square, EX1, 1.0, (-0.1,), (), ALL_ESTIMATORS, 7)
 
+    def test_naive_only_sweep_warns_nothing_about_the_bound(self, square):
+        # the Sobolev norm overflows at p = 1000, but only filtered rows read it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = run_sweep(square, EX1, 1000.0, (0.1,), (0,), ("naive",), 7)
+            assert len(cells) == 1
+            with pytest.raises(ValueError, match="c_bound must be a positive finite real"):
+                run_sweep(square, EX1, 1000.0, (0.1,), (0,), ("naive", "r1"), 7)
+
     @pytest.mark.parametrize("entry", ["run_sweep", "run_cell"])
     def test_unknown_filter_label_raises_before_any_noise(self, square, entry, monkeypatch):
         def no_draws(*args):
