@@ -16,7 +16,8 @@ and unwritable outputs, 3 when an internal consistency guard fires (a
 :class:`SymmetryError`, or a numeric precondition of the library raising
 ``ValueError``, such as a noise level whose realized norm overflows) or the
 run does not fit in memory.  :class:`ExperimentConfig` checks the settings,
-and :func:`run_experiment` the run's data before any noise or file.
+and :func:`run_experiment` the run's data before any noise or file.  With more
+than one CPU, a forked child writes the second half of the signals rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pipeline import (
-    DELTA_FLOOR, CellResult, ErrorRow, _check_filters, _tables, delta_max_rule, run_sweep,
+    DELTA_FLOOR, CellResult, ErrorRow, _check_filters, _sweep, _tables, delta_max_rule,
 )
 from .regularize import FilterKind, RegParams, choose_mu, error_bound
 from .spectral import RealSignal, SymmetryError, TimeGrid, dft, hp_norm
@@ -165,6 +166,110 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None
             fh.write(",".join(row) + "\n")
 
 
+def _write_rows(
+    lo: int, hi: int, tail: int | None, paths: list[Path], header: str,
+    shared: list[np.ndarray], own: list[list[np.ndarray]],
+) -> None:
+    """Write rows ``[lo, hi)`` of the signals files, taken file after file.
+
+    Every file has the ``shared`` columns, formatted once per block, and file
+    ``f`` its ``own[f]``.  A file begun before ``lo`` gets its rows, without
+    the header, at the end of the open descriptor ``tail``.
+    """
+    n = len(shared[0])
+    first, last = lo // n, (hi - 1) // n
+    rows = range(lo - first * n, hi - last * n) if first == last else range(n)
+    for start in range(rows.start, rows.stop, _SIGNALS_BLOCK):
+        stop = min(start + _SIGNALS_BLOCK, rows.stop)
+        shared_rows = zip(*(column[start:stop].tolist() for column in shared))
+        prefixes = ["%.17g,%.17g,%.17g" % row for row in shared_rows]
+        for f in range(first, last + 1):
+            a, b = max(start, lo - f * n), min(stop, hi - f * n)
+            if a >= b:
+                continue
+            own_rows = (column[a:b].tolist() for column in own[f])
+            values = chain.from_iterable(zip(prefixes[a - start:b - start], *own_rows))
+            text = (("%s" + ",%.17g" * len(own[f]) + "\n") * (b - a)) % tuple(values)
+            # "w" on a file's first row drops whatever an earlier run left in it
+            with (open(tail, "w", closefd=False) if f * n < lo
+                  else paths[f].open("a" if a else "w")) as fh:
+                if not a:
+                    fh.write(header)
+                fh.write(text)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (Linux)."""
+    import os
+
+    return len(os.sched_getaffinity(0))
+
+
+def _write_signals(
+    paths: list[Path], header: str, shared: list[np.ndarray], own: list[list[np.ndarray]]
+) -> None:
+    """Write the signals files with ``_write_rows``, which takes the same arguments.
+
+    With more than one CPU on Linux, a forked child writes the second half of
+    the rows.  The file that straddles the split gets its head from this
+    process and its tail from the child, through an anonymous file that this
+    process appends once the child is done.  A child's ``OSError`` or
+    ``MemoryError`` is raised here with the child's message.
+    """
+    import os
+    import warnings
+
+    args = (paths, header, shared, own)
+    n = len(shared[0])
+    total = len(paths) * n
+    if sys.platform != "linux" or _cpu_count() < 2:  # fork, memfd_create, sendfile to a file
+        _write_rows(0, total, None, *args)
+        return
+    split = total // 2
+    tail = os.memfd_create("signals-tail") if split % n else None
+    read_end, write_end = os.pipe()
+    pid = None
+    try:
+        with warnings.catch_warnings():
+            # numpy's BLAS threads make Python >= 3.12 warn; the child calls no threaded code
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
+            status = 1
+            try:
+                _write_rows(split, total, tail, *args)
+                status = 0
+            except (OSError, MemoryError) as exc:
+                kind = b"M" if isinstance(exc, MemoryError) else b"O"
+                os.write(write_end, kind + str(exc).encode(errors="backslashreplace"))
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        write_end = None
+        _write_rows(0, split, None, *args)
+        with open(read_end, "rb", closefd=False) as pipe:
+            message = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+        if message:
+            raise (MemoryError if message[:1] == b"M" else OSError)(message[1:].decode())
+        if status:
+            raise ChildProcessError(f"the second signals writer ended with status {status}")
+        if tail is not None:
+            with paths[split // n].open("r+b") as fh:  # sendfile refuses an O_APPEND target
+                fh.seek(0, os.SEEK_END)
+                offset, size = 0, os.fstat(tail).st_size
+                while offset < size:
+                    offset += os.sendfile(fh.fileno(), tail, offset, size - offset)
+    finally:
+        if pid:  # this process failed while the child runs
+            os.kill(pid, 9)  # SIGKILL: importing signal would add 0.17 MB to the peak RSS
+            os.waitpid(pid, 0)
+        for fd in (read_end, write_end, tail):
+            if fd is not None:
+                os.close(fd)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Check the run's data, then run the sweep and write ``errors/summary/signals`` CSVs."""
     grid = cfg.grid()
@@ -173,17 +278,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _tables(cfg.params, grid)  # checks the medium on the grid; the run reuses the cache
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    with np.errstate(all="ignore"):
+        c_bound = float(hp_norm(dft(f_true), cfg.p))
     if set(cfg.filters) - {"naive"}:  # mu grows with delta: can p score the least-noise row?
+        if not math.isfinite(c_bound):
+            raise ConfigError(
+                "smoothness order p is too large for this source: "
+                f"its H^p norm overflows at p = {cfg.p:g}"
+            )
         least = (DELTA_FLOOR, delta_max_rule(DELTA_FLOOR))
         try:
-            with np.errstate(all="ignore"):
-                c_bound = float(hp_norm(dft(f_true), cfg.p))
             reg = RegParams(choose_mu(*least, cfg.p), cfg.p, *least)
             error_bound(FilterKind.GAUSSIAN, c_bound, reg, cfg.params)  # every kind refuses alike
         except ValueError as exc:
             raise ConfigError(f"smoothness order p is too large for this source: {exc}") from exc
-    cells = run_sweep(
-        f_true, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed
+    cells = _sweep(
+        f_true, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed,
+        c_bound,
     )
     rows = tuple(row for cell in cells for row in cell.rows)
     # naive first in errors and signals, as run_cell orders estimates; last in summary
@@ -198,9 +309,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             entry[label] = sum(errs) / len(errs)
         summary.append(entry)
 
-    # t, f_true and y are the same in every file: format them once per block
-    shared = [grid.times(), f_true.samples, cells[0].y.samples]
-    header = ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected])
     signal_paths = [cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv" for cell in cells]
     files = [cfg.out_dir / "errors.csv", cfg.out_dir / "summary.csv", *signal_paths]
     # a failed write leaves the files written before it
@@ -220,20 +328,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             ["epsilon"] + [f"rel_err_{label}" for label in summary_labels],
             ([_fmt(e["epsilon"])] + [_fmt(e[label]) for label in summary_labels] for e in summary),
         )
-        for start in range(0, grid.n, _SIGNALS_BLOCK):
-            block = slice(start, start + _SIGNALS_BLOCK)
-            shared_rows = zip(*(column[block].tolist() for column in shared))
-            prefixes = ["%.17g,%.17g,%.17g" % row for row in shared_rows]
-            template = ("%s" + ",%.17g" * (1 + len(selected)) + "\n") * len(prefixes)
-            for cell, path in zip(cells, signal_paths):
-                columns = [cell.y_noisy] + [cell.estimates[label] for label in selected]
-                own = (column.samples[block].tolist() for column in columns)
-                values = chain.from_iterable(zip(prefixes, *own))
-                # "w" on the first block drops whatever an earlier run left in the file
-                with path.open("a" if start else "w") as fh:
-                    if not start:
-                        fh.write(header + "\n")
-                    fh.write(template % tuple(values))
+        _write_signals(
+            signal_paths,
+            ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected]) + "\n",
+            [grid.times(), f_true.samples, cells[0].y.samples],  # the same in every file
+            [[cell.y_noisy.samples] + [cell.estimates[label].samples for label in selected]
+             for cell in cells],
+        )
     except OSError as exc:
         raise ConfigError(f"out: cannot write to {cfg.out_dir}: {exc}") from exc
 
@@ -390,7 +491,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # floating-point trouble ends in an error or a guard failure, not a warning
         with np.errstate(all="ignore"):
-            cfg = _build_config(args)
+            try:
+                cfg = _build_config(args)
+            except MemoryError as exc:  # such as a seed count too large to expand
+                raise MemoryError("out of memory while building the run settings") from exc
             try:
                 report = run_experiment(cfg)
             except MemoryError as exc:

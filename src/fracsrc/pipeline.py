@@ -307,9 +307,17 @@ def run_sweep(
     Each cell's RNG stream depends only on ``(master_seed, eps index, seed
     id)``, so results do not depend on how cells are grouped or ordered.
     """
-    y = synthesize_data(f_true, params)
     with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
         c_bound = float(hp_norm(dft(f_true), p))
+    return _sweep(f_true, params, p, eps_list, seed_ids, filters, master_seed, c_bound)
+
+
+def _sweep(
+    f_true: RealSignal, params: MediumParams, p: float, eps_list: tuple[float, ...],
+    seed_ids: tuple[int, ...], filters: tuple[str, ...], master_seed: int, c_bound: float,
+) -> list[CellResult]:
+    """``run_sweep`` with the source's Sobolev norm ``c_bound`` already computed."""
+    y = synthesize_data(f_true, params)
     cells = []
     for i_eps, epsilon in enumerate(eps_list):
         seeds = [(seed_id, cell_seed(master_seed, i_eps, seed_id)) for seed_id in seed_ids]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -241,7 +242,10 @@ class TestMainExitCodes:
         argv = ["run", "--example", str(example), "--n", str(n), "--seeds", "1", "--eps", "0.1"]
         assert main(argv + ["--p", str(runs), "--out", str(tmp_path / "runs")]) == 0
         assert main(argv + ["--p", str(refused), "--out", str(tmp_path / "refused")]) == 2
-        assert capsys.readouterr().err.startswith("error: smoothness order p is too large")
+        assert capsys.readouterr().err == (
+            "error: smoothness order p is too large for this source: "
+            f"its H^p norm overflows at p = {refused}\n"
+        )
         assert not (tmp_path / "refused").exists()
 
     @pytest.mark.parametrize(
@@ -300,7 +304,7 @@ class TestMainExitCodes:
         assert rc == 3
         assert "guard failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["_tables", "run_sweep"])
+    @pytest.mark.parametrize("target", ["_tables", "_sweep"])
     def test_out_of_memory_exits_three_naming_the_grid(self, tmp_path, monkeypatch, capsys,
                                                        target):
         def exhausted(*args):
@@ -312,6 +316,17 @@ class TestMainExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == (
             "guard failure: out of memory on a grid of 128 samples\n"
+        )
+
+    def test_out_of_memory_building_the_settings_exits_three(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def exhausted(args):
+            raise MemoryError  # as _seeds' tuple(range(count)) raises it, without a message
+
+        monkeypatch.setattr(cli, "_build_config", exhausted)
+        assert main(["run", "--example", "1", "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "guard failure: out of memory while building the run settings\n"
         )
 
     def test_guard_failure_inside_idft_exits_three(self, tmp_path, monkeypatch, capsys):
@@ -482,25 +497,99 @@ class TestSignalsWriter:
     def test_percent_17g_is_format_17g(self, x):
         assert "%.17g" % x == f"{x:.17g}"
 
-    # 8192 rows: several blocks at the module's block size (None), and a
-    # ragged last block at 3000
+    # 8192 rows a file: several blocks at the module's block size (None), and a
+    # ragged last block at 3000.  Two CPUs split the rows at a file boundary (4
+    # cells), inside a file and a block (3 cells), and inside the one file (1 cell).
     @pytest.mark.parametrize("block", [None, 3000])
-    def test_blocks_match_the_reference_writer(self, tmp_path, monkeypatch, block):
+    @pytest.mark.parametrize(
+        "eps_list, seed_ids",
+        [((0.0, 0.1), (0, 1)), ((0.1,), (0, 1, 2)), ((0.1,), (0,))],
+        ids=["file-boundary", "mid-file", "one-file"],
+    )
+    def test_blocks_match_the_reference_writer(self, tmp_path, monkeypatch, block, eps_list,
+                                               seed_ids):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
         if block is not None:
             monkeypatch.setattr(cli, "_SIGNALS_BLOCK", block)
         cfg = ExperimentConfig(
             params=EX1_PARAMS, n=1024, t_max=10.0, pad_factor=8, source="square",
-            p=1.0, eps_list=(0.0, 0.1), seed_ids=(0, 1),
+            p=1.0, eps_list=eps_list, seed_ids=seed_ids,
             filters=("naive", "r1", "r2", "r3"), master_seed=5, out_dir=tmp_path,
         )
         report = run_experiment(cfg)
         f_true = preset_source(cfg.source, cfg.grid())
         signals = [path for path in report.files if path.name.startswith("signals_")]
-        assert len(signals) == len(report.cells) == 4
+        assert len(signals) == len(report.cells) == len(eps_list) * len(seed_ids)
         for path, cell in zip(signals, report.cells):
             assert path.name == f"signals_{cell.epsilon:g}_{cell.seed}.csv"
             expected = _reference_signals(f_true, cell, list(cell.estimates))
             assert path.read_text().splitlines() == expected.splitlines()
+
+    @staticmethod
+    def run_on(cpus, monkeypatch, argv) -> int:
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        return main(["run", *argv])
+
+    # 6 cells of 8 rows split at a file boundary, 3 cells of 128 inside a file,
+    # and one file of 16384 rows inside a block
+    @pytest.mark.parametrize("run", [
+        ["--example", "1", "--n", "8", "--eps", "0.1,0.01", "--seeds", "3"],
+        ["--example", "2", "--n", "64", "--pad", "2", "--seeds", "3", "--eps", "0.1,0"],
+        ["--example", "2", "--n", "16384", "--seeds", "1", "--eps", "0.1",
+         "--filters", "naive,r3"],
+    ])
+    def test_two_processes_write_the_bytes_of_one(self, tmp_path, monkeypatch, run):
+        written = []
+        for cpus in (2, 1):
+            out = tmp_path / str(cpus)
+            assert self.run_on(cpus, monkeypatch, [*run, "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] == written[1]
+
+    # 3 cells of 8 rows: the split falls in signals_0.1_1.csv, and the child
+    # writes all of signals_0.1_2.csv
+    THREE_FILES = ["--example", "1", "--n", "8", "--eps", "0.1", "--seeds", "3"]
+    THREE_FILE_NAMES = {"errors.csv", "summary.csv", "signals_0.1_0.csv", "signals_0.1_1.csv",
+                        "signals_0.1_2.csv"}
+
+    @pytest.mark.parametrize("squatted", ["signals_0.1_2.csv", "signals_0.1_1.csv"])
+    def test_unwritable_file_on_either_side_fails_as_in_one_process(
+        self, tmp_path, monkeypatch, capsys, squatted
+    ):
+        out = tmp_path / "out"
+        errors = []
+        for cpus in (2, 1):
+            (out / squatted).mkdir(parents=True)
+            assert self.run_on(cpus, monkeypatch, [*self.THREE_FILES, "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert {path.name for path in out.iterdir()} <= self.THREE_FILE_NAMES
+            shutil.rmtree(out)
+        assert errors[0] == errors[1], errors
+        assert errors[0].startswith(f"error: out: cannot write to {out}: [Errno 21]")
+        assert squatted in errors[0] and errors[0].count("\n") == 1
+
+    @pytest.mark.parametrize("failure, code, message", [
+        (MemoryError, 3, "guard failure: out of memory on a grid of 8 samples\n"),
+        (lambda: os._exit(5), 2, "the second signals writer ended with status 5\n"),
+    ])
+    def test_failed_child_ends_the_run_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                     failure, code, message):
+        real = cli._write_rows
+
+        def second_half_fails(lo, hi, *args):
+            if lo:
+                raise failure()
+            real(lo, hi, *args)
+
+        monkeypatch.setattr(cli, "_write_rows", second_half_fails)
+        argv = [*self.THREE_FILES, "--out", str(tmp_path / "out")]
+        assert self.run_on(2, monkeypatch, argv) == code
+        err = capsys.readouterr().err
+        assert err.endswith(message) and err.count("\n") == 1, err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     # sha256 of every file of this run, taken from the row-at-a-time writer
     # before the signals files were written in blocks
