@@ -14,10 +14,12 @@ with 17 significant digits, so identical configurations produce
 byte-identical files.  Exit codes: 0 on success, 2 on configuration errors
 and unwritable outputs, 3 when an internal consistency guard fires (a
 :class:`SymmetryError`, or a numeric precondition of the library raising
-``ValueError``, such as a noise level whose realized norm overflows) or the
-run does not fit in memory.  :class:`ExperimentConfig` checks the settings,
-and :func:`run_experiment` the run's data before any noise or file.  With more
-than one CPU, a forked child writes the second half of the signals rows.
+``ValueError``, such as a noise draw far louder than its level's expected
+norm) or the run does not fit in memory.  :class:`ExperimentConfig` checks the
+settings, and :func:`run_experiment` the run's data before any noise or file:
+the medium on the grid, and whether the sweep can score its least-noise row
+and the loudest level's expected row.  With more than one CPU, a forked child
+writes the second half of the signals rows; if it fails, the run writes them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .pipeline import (
-    DELTA_FLOOR, CellResult, ErrorRow, _check_filters, _sweep, _tables, delta_max_rule,
+    DELTA_FLOOR, CellResult, ErrorRow, _check_filters, _sweep, _synthesize, _tables,
+    delta_max_rule,
 )
 from .regularize import FilterKind, RegParams, choose_mu, error_bound
 from .spectral import RealSignal, SymmetryError, TimeGrid, dft, hp_norm
@@ -112,9 +115,13 @@ class ExperimentConfig:
                 raise ConfigError(f"smoothness order p must be positive, got {self.p!r}")
             if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
                 raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
-            self.grid()  # checks n and t_max
+            samples = self.grid().n  # checks n and t_max
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if samples * 16 > sys.maxsize:  # bytes of one complex array on the grid
+            raise ConfigError(
+                f"n and pad: a grid of n * pad = {samples} samples is too large for any array"
+            )
 
     def grid(self) -> TimeGrid:
         """Sampling grid, window and sample count scaled by the pad factor."""
@@ -174,7 +181,8 @@ def _write_rows(
 
     Every file has the ``shared`` columns, formatted once per block, and file
     ``f`` its ``own[f]``.  A file begun before ``lo`` gets its rows, without
-    the header, at the end of the open descriptor ``tail``.
+    the header, at the end of the open descriptor ``tail``, or of its file
+    when ``tail`` is None.
     """
     n = len(shared[0])
     first, last = lo // n, (hi - 1) // n
@@ -191,7 +199,7 @@ def _write_rows(
             values = chain.from_iterable(zip(prefixes[a - start:b - start], *own_rows))
             text = (("%s" + ",%.17g" * len(own[f]) + "\n") * (b - a)) % tuple(values)
             # "w" on a file's first row drops whatever an earlier run left in it
-            with (open(tail, "w", closefd=False) if f * n < lo
+            with (open(tail, "w", closefd=False) if tail is not None and f * n < lo
                   else paths[f].open("a" if a else "w")) as fh:
                 if not a:
                     fh.write(header)
@@ -213,8 +221,8 @@ def _write_signals(
     With more than one CPU on Linux, a forked child writes the second half of
     the rows.  The file that straddles the split gets its head from this
     process and its tail from the child, through an anonymous file that this
-    process appends once the child is done.  A child's ``OSError`` or
-    ``MemoryError`` is raised here with the child's message.
+    process appends once the child is done.  If the child fails, this process
+    writes the child's rows itself, so the bytes and errors are one process's.
     """
     import os
     import warnings
@@ -227,7 +235,6 @@ def _write_signals(
         return
     split = total // 2
     tail = os.memfd_create("signals-tail") if split % n else None
-    read_end, write_end = os.pipe()
     pid = None
     try:
         with warnings.catch_warnings():
@@ -239,23 +246,14 @@ def _write_signals(
             try:
                 _write_rows(split, total, tail, *args)
                 status = 0
-            except (OSError, MemoryError) as exc:
-                kind = b"M" if isinstance(exc, MemoryError) else b"O"
-                os.write(write_end, kind + str(exc).encode(errors="backslashreplace"))
             finally:
                 os._exit(status)
-        os.close(write_end)
-        write_end = None
         _write_rows(0, split, None, *args)
-        with open(read_end, "rb", closefd=False) as pipe:
-            message = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        status = os.waitpid(pid, 0)[1]
         pid = None
-        if message:
-            raise (MemoryError if message[:1] == b"M" else OSError)(message[1:].decode())
-        if status:
-            raise ChildProcessError(f"the second signals writer ended with status {status}")
-        if tail is not None:
+        if status:  # rewrites whole files from their first row and drops the tail
+            _write_rows(split, total, None, *args)
+        elif tail is not None:
             with paths[split // n].open("r+b") as fh:  # sendfile refuses an O_APPEND target
                 fh.seek(0, os.SEEK_END)
                 offset, size = 0, os.fstat(tail).st_size
@@ -265,9 +263,8 @@ def _write_signals(
         if pid:  # this process failed while the child runs
             os.kill(pid, 9)  # SIGKILL: importing signal would add 0.17 MB to the peak RSS
             os.waitpid(pid, 0)
-        for fd in (read_end, write_end, tail):
-            if fd is not None:
-                os.close(fd)
+        if tail is not None:
+            os.close(tail)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -278,22 +275,39 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _tables(cfg.params, grid)  # checks the medium on the grid; the run reuses the cache
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    f_hat = dft(f_true)
     with np.errstate(all="ignore"):
-        c_bound = float(hp_norm(dft(f_true), cfg.p))
-    if set(cfg.filters) - {"naive"}:  # mu grows with delta: can p score the least-noise row?
-        if not math.isfinite(c_bound):
-            raise ConfigError(
-                "smoothness order p is too large for this source: "
-                f"its H^p norm overflows at p = {cfg.p:g}"
-            )
-        least = (DELTA_FLOOR, delta_max_rule(DELTA_FLOOR))
+        c_bound = float(hp_norm(f_hat, cfg.p))
+        # no p > 0 can pass where the norm overflows at the least positive p
+        no_p = not (math.isfinite(c_bound) or math.isfinite(hp_norm(f_hat, 5e-324)))
+    filtered = bool(set(cfg.filters) - {"naive"})
+    if filtered and no_p:
+        raise ConfigError(
+            "t_max: the source's H^p norm overflows at every p > 0 "
+            f"with t_max = {cfg.t_max:g} and n = {cfg.n}"
+        )
+    if filtered and not math.isfinite(c_bound):
+        raise ConfigError(
+            "smoothness order p is too large for this source: "
+            f"its H^p norm overflows at p = {cfg.p:g}"
+        )
+    # the sweep's checks on the least-noise row (mu grows with delta: can p score it?) and
+    # on the loudest level's expected row, its realized level computed as the sweep does
+    loudest = max(cfg.eps_list)
+    expected = max(math.sqrt(grid.dt * grid.n * loudest * loudest), DELTA_FLOOR)
+    for delta, refusal in ((DELTA_FLOOR, "smoothness order p is too large for this source"),
+                           (expected, f"eps: noise level {loudest:g} is too large to score")):
         try:
-            reg = RegParams(choose_mu(*least, cfg.p), cfg.p, *least)
-            error_bound(FilterKind.GAUSSIAN, c_bound, reg, cfg.params)  # every kind refuses alike
+            delta_max = delta_max_rule(delta)
+            if filtered:
+                reg = RegParams(choose_mu(delta, delta_max, cfg.p), cfg.p, delta, delta_max)
+                error_bound(FilterKind.GAUSSIAN, c_bound, reg, cfg.params)  # kinds refuse alike
         except ValueError as exc:
-            raise ConfigError(f"smoothness order p is too large for this source: {exc}") from exc
+            raise ConfigError(f"{refusal}: {exc}") from exc
+    y = _synthesize(f_hat, cfg.params)
+    del f_hat  # n complex bins: not kept through the sweep and the writing
     cells = _sweep(
-        f_true, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed,
+        f_true, y, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed,
         c_bound,
     )
     rows = tuple(row for cell in cells for row in cell.rows)

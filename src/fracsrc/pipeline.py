@@ -142,7 +142,12 @@ def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
 
 def synthesize_data(f: RealSignal, params: MediumParams) -> RealSignal:
     """Exact measurement at the sensor: ``y`` with ``y_hat = G(x0, .) f_hat``."""
-    return idft(apply_multiplier(dft(f), _tables(params, f.grid).kernel))
+    return _synthesize(dft(f), params)
+
+
+def _synthesize(f_hat: Spectrum, params: MediumParams) -> RealSignal:
+    """``synthesize_data`` of the source whose transform is ``f_hat``."""
+    return idft(apply_multiplier(f_hat, _tables(params, f_hat.grid).kernel))
 
 
 def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
@@ -307,17 +312,20 @@ def run_sweep(
     Each cell's RNG stream depends only on ``(master_seed, eps index, seed
     id)``, so results do not depend on how cells are grouped or ordered.
     """
+    f_hat = dft(f_true)
     with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
-        c_bound = float(hp_norm(dft(f_true), p))
-    return _sweep(f_true, params, p, eps_list, seed_ids, filters, master_seed, c_bound)
+        c_bound = float(hp_norm(f_hat, p))
+    y = _synthesize(f_hat, params)
+    del f_hat  # n complex bins: not kept through the sweep
+    return _sweep(f_true, y, params, p, eps_list, seed_ids, filters, master_seed, c_bound)
 
 
 def _sweep(
-    f_true: RealSignal, params: MediumParams, p: float, eps_list: tuple[float, ...],
-    seed_ids: tuple[int, ...], filters: tuple[str, ...], master_seed: int, c_bound: float,
+    f_true: RealSignal, y: RealSignal, params: MediumParams, p: float,
+    eps_list: tuple[float, ...], seed_ids: tuple[int, ...], filters: tuple[str, ...],
+    master_seed: int, c_bound: float,
 ) -> list[CellResult]:
-    """``run_sweep`` with the source's Sobolev norm ``c_bound`` already computed."""
-    y = synthesize_data(f_true, params)
+    """``run_sweep`` with the measurement ``y`` and the source's Sobolev norm ``c_bound`` given."""
     cells = []
     for i_eps, epsilon in enumerate(eps_list):
         seeds = [(seed_id, cell_seed(master_seed, i_eps, seed_id)) for seed_id in seed_ids]

@@ -34,6 +34,12 @@ EX1_PARAMS = MediumParams(omega=0.1, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)
 BREAKPOINT_GRID = TimeGrid(64, 16.0)
 
 
+# Tests that poll for forked children themselves; os.fork and os.WNOHANG are POSIX-only.
+polls_children = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "WNOHANG")), reason="needs os.fork and os.WNOHANG"
+)
+
+
 def sample_at(signal, t):
     times = signal.grid.times()
     index = int(round(t / signal.grid.dt))
@@ -134,6 +140,8 @@ class TestConfigValidation:
             dict(params=MediumParams(omega=1e-300, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)),
             dict(t_max=1e-320),
             dict(p=81.0),  # the square wave's Sobolev norm overflows at n = 256
+            dict(eps_list=(0.1, 1e300)),  # the loudest level's expected norm overflows
+            dict(eps_list=(1e300,), filters=("naive",)),  # ... also without a filter
         ],
     )
     def test_run_refuses_the_data_before_any_file(self, tmp_path, overrides):
@@ -142,6 +150,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
         assert not out.exists()
+
+    def test_grid_is_refused_where_a_complex_array_passes_maxsize(self, tmp_path):
+        # the largest power of two of complex samples that sys.maxsize bytes hold;
+        # a config allocates nothing, so neither grid is built here
+        fits = 1 << ((sys.maxsize // 16).bit_length() - 1)
+        cfg = ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, n=8, pad_factor=fits // 8))
+        assert cfg.grid().n == fits
+        with pytest.raises(ConfigError, match=f"^n and pad: a grid of n \\* pad = {2 * fits} "):
+            ExperimentConfig(**self.base_kwargs(out_dir=tmp_path, n=8, pad_factor=fits // 4))
 
     def test_building_a_config_samples_no_tables(self, tmp_path, monkeypatch):
         def sampled(*args):
@@ -198,7 +215,7 @@ class TestMainExitCodes:
             (["--eps", "0.1,0.1"], None, 2, "error: noise levels"),
             (["--n", "abc"], None, 2, "error: n:"),
             (["--example", "3"], None, 2, "error: example:"),
-            (["--eps", "1e300"], None, 3, "guard failure:"),
+            (["--eps", "1e300"], None, 2, "error: eps: noise level 1e+300 is too large"),
             (["--p", "1e300"], None, 2, "error: smoothness order p"),
             (["--p", "1e17"], None, 2, "error: smoothness order p"),
             ([], {"n": "abc"}, 2, "error: n:"),
@@ -209,7 +226,7 @@ class TestMainExitCodes:
             ([], {"example": True}, 2, "error: example:"),
             ([], {"out": 5}, 2, "error: out:"),
             (["--p", "400"], None, 2, "error: smoothness order p"),
-            (["--eps", "2e15"], None, 3, "guard failure: mu must lie in (0, 1)"),
+            (["--eps", "2e15"], None, 2, "error: eps: noise level 2e+15 is too large"),
             ([], {"p": True}, 2, "error: p: expected a number"),
             (["--alpha", "1.5"], None, 2, "error: alpha must lie in (0, 1]"),
             # the Sobolev weight is finite at p = 356 on this grid, but not the weighted
@@ -217,6 +234,13 @@ class TestMainExitCodes:
             ([], {"example": 2, "n": 8, "seeds": 1, "eps": [0.1], "p": 356}, 2,
              "error: smoothness order p"),
             (["--n", "256", "--p", "81"], None, 2, "error: smoothness order p"),
+            # no p > 0 passes on these windows: the norm overflows at p = 5e-324
+            (["--t-max", "1e-300"], None, 2, "error: t_max:"),
+            (["--t-max", "1e300"], None, 2, "error: t_max:"),
+            (["--t-max", "1e-160"], None, 2, "error: t_max:"),
+            (["--pad", "4611686018427387904"], None, 2, "error: n and pad:"),
+            ([], {"example": 2, "n": 8, "seeds": 1, "eps": [1e17]}, 2,
+             "error: eps: noise level 1e+17 is too large"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
@@ -431,18 +455,24 @@ class TestRunExperiment:
         assert main(["run", "--config", str(config)]) == 2
 
     def test_run_synthesizes_the_measurement_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = pipeline.synthesize_data
+        calls, transforms = [], []
+        real, real_dft = pipeline._synthesize, pipeline.dft
 
-        def counted(f, params):
-            calls.append(f.grid)
-            return real(f, params)
+        def counted(f_hat, params):
+            calls.append(f_hat.grid)
+            return real(f_hat, params)
 
-        monkeypatch.setattr(pipeline, "synthesize_data", counted)
-        monkeypatch.setattr(cli, "synthesize_data", counted, raising=False)
+        def counted_dft(signal):
+            if signal.samples.ndim == 1:  # the source; noisy measurements come as stacks
+                transforms.append(signal.grid)
+            return real_dft(signal)
+
+        for module in (pipeline, cli):
+            monkeypatch.setattr(module, "_synthesize", counted)
+            monkeypatch.setattr(module, "dft", counted_dft)
         assert main(["run", "--example", "1", "--n", "8", "--eps", "0.1,0.01",
                      "--seeds", "2", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == len(transforms) == 1
 
     def test_report_object(self, tmp_path):
         cfg = ExperimentConfig(
@@ -552,6 +582,7 @@ class TestSignalsWriter:
     THREE_FILE_NAMES = {"errors.csv", "summary.csv", "signals_0.1_0.csv", "signals_0.1_1.csv",
                         "signals_0.1_2.csv"}
 
+    @polls_children
     @pytest.mark.parametrize("squatted", ["signals_0.1_2.csv", "signals_0.1_1.csv"])
     def test_unwritable_file_on_either_side_fails_as_in_one_process(
         self, tmp_path, monkeypatch, capsys, squatted
@@ -570,9 +601,9 @@ class TestSignalsWriter:
         assert errors[0].startswith(f"error: out: cannot write to {out}: [Errno 21]")
         assert squatted in errors[0] and errors[0].count("\n") == 1
 
+    @polls_children
     @pytest.mark.parametrize("failure, code, message", [
         (MemoryError, 3, "guard failure: out of memory on a grid of 8 samples\n"),
-        (lambda: os._exit(5), 2, "the second signals writer ended with status 5\n"),
     ])
     def test_failed_child_ends_the_run_with_one_line(self, tmp_path, monkeypatch, capsys,
                                                      failure, code, message):
@@ -590,6 +621,38 @@ class TestSignalsWriter:
         assert err.endswith(message) and err.count("\n") == 1, err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    # The child writes the first rows of its half, then fails; the run writes
+    # the child's rows itself.  The failure is injected in the child only: the
+    # run's own rewrite calls the same _write_rows, inside this test process.
+    @pytest.mark.parametrize("failure", [
+        MemoryError,
+        lambda: OSError(28, "No space left on device"),
+        lambda: os._exit(5),
+        lambda: os.kill(os.getpid(), 9),  # as the OOM killer ends a process
+    ], ids=["MemoryError", "OSError", "exit", "killed"])
+    @pytest.mark.parametrize("run", [
+        THREE_FILES,
+        ["--example", "1", "--n", "8", "--eps", "0.1,0.01", "--seeds", "2"],
+    ], ids=["mid-file", "file-boundary"])
+    def test_failed_child_leaves_its_rows_to_the_run(self, tmp_path, monkeypatch, capsys, run,
+                                                     failure):
+        real, test_pid = cli._write_rows, os.getpid()
+
+        def child_fails(lo, hi, *args):
+            if os.getpid() == test_pid:
+                return real(lo, hi, *args)
+            real(lo, lo + (hi - lo) // 2 + 1, *args)  # a file or a tail begun, not ended
+            raise failure()
+
+        monkeypatch.setattr(cli, "_write_rows", child_fails)
+        written = []
+        for cpus in (2, 1):
+            out = tmp_path / str(cpus)
+            assert self.run_on(cpus, monkeypatch, [*run, "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert capsys.readouterr().err == ""
+        assert written[0] == written[1]
 
     # sha256 of every file of this run, taken from the row-at-a-time writer
     # before the signals files were written in blocks
