@@ -16,10 +16,11 @@ and unwritable outputs, 3 when an internal consistency guard fires (a
 :class:`SymmetryError`, or a numeric precondition of the library raising
 ``ValueError``, such as a noise draw far louder than its level's expected
 norm) or the run does not fit in memory.  :class:`ExperimentConfig` checks the
-settings, and :func:`run_experiment` the run's data before any noise or file:
-the medium on the grid, and whether the sweep can score its least-noise row
-and the loudest level's expected row.  With more than one CPU, a forked child
-writes the second half of the signals rows; if it fails, the run writes them.
+settings; :func:`run_experiment` checks the run's data before any noise or file
+with the sweep's own ``pipeline._measure`` (medium, grid, source norm) and
+``pipeline._score`` (the least-noise row and the loudest level's expected row).
+With more than one CPU, a forked child writes the second half of the signals
+rows; if it fails, the run writes them.
 """
 
 from __future__ import annotations
@@ -36,12 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pipeline import (
-    DELTA_FLOOR, CellResult, ErrorRow, _check_filters, _sweep, _synthesize, _tables,
-    delta_max_rule,
-)
-from .regularize import FilterKind, RegParams, choose_mu, error_bound
-from .spectral import RealSignal, SymmetryError, TimeGrid, dft, hp_norm
+from .pipeline import CellResult, ErrorRow, _check_filters, _measure, _score, _sweep
+from .regularize import FilterKind
+from .spectral import RealSignal, SymmetryError, TimeGrid
 from .symbols import MediumParams
 
 __all__ = [
@@ -91,7 +89,7 @@ class ExperimentConfig:
         if not self.eps_list:
             raise ConfigError("eps list must not be empty")
         for eps in self.eps_list:
-            if not (math.isfinite(eps) and eps >= 0.0):
+            if not (math.isfinite(eps) and math.copysign(1.0, eps) > 0.0):  # -0 too
                 raise ConfigError(f"noise levels must be nonnegative, got {eps!r}")
         # signals files are named by the level's 6-digit form
         labels = {f"{eps:g}" for eps in self.eps_list}
@@ -271,17 +269,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Check the run's data, then run the sweep and write ``errors/summary/signals`` CSVs."""
     grid = cfg.grid()
     f_true = preset_source(cfg.source, grid)
-    try:
-        _tables(cfg.params, grid)  # checks the medium on the grid; the run reuses the cache
+    try:  # _measure refuses a degenerate medium or grid first
+        y, c_bound, least = _measure(f_true, cfg.params, cfg.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    f_hat = dft(f_true)
-    with np.errstate(all="ignore"):
-        c_bound = float(hp_norm(f_hat, cfg.p))
-        # no p > 0 can pass where the norm overflows at the least positive p
-        no_p = not (math.isfinite(c_bound) or math.isfinite(hp_norm(f_hat, 5e-324)))
     filtered = bool(set(cfg.filters) - {"naive"})
-    if filtered and no_p:
+    if filtered and not math.isfinite(least):
         raise ConfigError(
             "t_max: the source's H^p norm overflows at every p > 0 "
             f"with t_max = {cfg.t_max:g} and n = {cfg.n}"
@@ -291,21 +284,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "smoothness order p is too large for this source: "
             f"its H^p norm overflows at p = {cfg.p:g}"
         )
-    # the sweep's checks on the least-noise row (mu grows with delta: can p score it?) and
-    # on the loudest level's expected row, its realized level computed as the sweep does
+    # the sweep's scoring of the least-noise row (mu grows with delta: can p score it?)
+    # and of the loudest level's expected row, whose sum(eta^2) is n eps^2
     loudest = max(cfg.eps_list)
-    expected = max(math.sqrt(grid.dt * grid.n * loudest * loudest), DELTA_FLOOR)
-    for delta, refusal in ((DELTA_FLOOR, "smoothness order p is too large for this source"),
-                           (expected, f"eps: noise level {loudest:g} is too large to score")):
+    for noise_sq, refusal in ((0.0, "smoothness order p is too large for this source"),
+                              (grid.n * loudest * loudest,
+                               f"eps: noise level {loudest:g} is too large to score")):
         try:
-            delta_max = delta_max_rule(delta)
-            if filtered:
-                reg = RegParams(choose_mu(delta, delta_max, cfg.p), cfg.p, delta, delta_max)
-                error_bound(FilterKind.GAUSSIAN, c_bound, reg, cfg.params)  # kinds refuse alike
+            _score(grid, [noise_sq], cfg.p, cfg.filters, c_bound, cfg.params)
         except ValueError as exc:
             raise ConfigError(f"{refusal}: {exc}") from exc
-    y = _synthesize(f_hat, cfg.params)
-    del f_hat  # n complex bins: not kept through the sweep and the writing
     cells = _sweep(
         f_true, y, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed,
         c_bound,
@@ -502,21 +490,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    where = "while building the run settings"
     try:
         # floating-point trouble ends in an error or a guard failure, not a warning
         with np.errstate(all="ignore"):
-            try:
-                cfg = _build_config(args)
-            except MemoryError as exc:  # such as a seed count too large to expand
-                raise MemoryError("out of memory while building the run settings") from exc
-            try:
-                report = run_experiment(cfg)
-            except MemoryError as exc:
-                raise MemoryError(f"out of memory on a grid of {cfg.grid().n} samples") from exc
+            cfg = _build_config(args)
+            where = f"on a grid of {cfg.grid().n} samples"
+            report = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SymmetryError, ValueError, MemoryError) as exc:
+    except MemoryError:  # such as a seed count too large to expand, or a grid too large
+        print(f"guard failure: out of memory {where}", file=sys.stderr)
+        return 3
+    except (SymmetryError, ValueError) as exc:
         print(f"guard failure: {exc}", file=sys.stderr)
         return 3
 

@@ -10,19 +10,16 @@ therefore bit-reproducible regardless of execution order.
 
 The sweep scores a noise level as arrays, a row per cell: one stack of noisy
 measurements, one forward transform, then per estimator one gain table and
-one inverse transform, and ``delta``, ``mu``, errors and bounds one per row.
-The per-cell results, views of those rows, are built on return; ``run_cell``
-is the same code on one row.
+one inverse transform, and errors one per row.  The per-cell results, views
+of those rows, are built on return; ``run_cell`` is the same code on one row.
+``_measure`` takes the source's one transform to ``y`` and its Sobolev norm,
+and ``_score`` a row's noise to ``delta``, ``mu`` and bounds, for the sweep
+and for ``cli.run_experiment``'s checks alike.
 
 The multiplier tables (``Lambda`` and ``G(x0, .)`` on the grid's bins) depend
 only on the medium and the grid, so they are sampled once per
 ``(MediumParams, TimeGrid)`` pair and shared, read-only, by every cell and
 estimator; each filter table is ``Lambda`` times its real attenuation.
-
-Noise-free runs substitute the stand-in level ``DELTA_FLOOR`` for the
-realized zero so the parameter rule stays defined; the value is small enough
-that every filter family's attenuation is negligible across any admissible
-grid, making the regularized path consistent with the exact inversion.
 """
 
 from __future__ import annotations
@@ -68,9 +65,10 @@ __all__ = [
 # naive first, then the filters, mirroring the output column order
 ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
 
-# Stand-in noise level for noise-free runs.  With mu = DELTA_FLOOR^(1/(p+2))
-# the quartic filter, the widest of the three, attenuates the extreme bin of
-# a 256-point window on [0, 10] by less than 1e-5.
+# Stand-in noise level for noise-free runs, so the parameter rule stays
+# defined.  With mu = DELTA_FLOOR^(1/(p+2)) the quartic filter, the widest of
+# the three, attenuates the extreme bin of a 256-point window on [0, 10] by
+# less than 1e-5, so the regularized path agrees with the exact inversion.
 DELTA_FLOOR = 1e-20
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (math.isfinite(self.sigma) and math.copysign(1.0, self.sigma) > 0.0):  # -0 too
             raise ValueError(f"sigma must be a nonnegative finite real, got {self.sigma!r}")
 
 
@@ -229,6 +227,32 @@ def _check_filters(filters: tuple[str, ...]) -> None:
             )
 
 
+def _measure(f_true: RealSignal, params: MediumParams, p: float) -> tuple[RealSignal, float, float]:
+    """``y``, the source's ``H^p`` norm and, where that overflows, its norm at the least p > 0."""
+    f_hat = dft(f_true)
+    with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
+        c_bound = float(hp_norm(f_hat, p))
+        least = c_bound if math.isfinite(c_bound) else float(hp_norm(f_hat, 5e-324))
+    return _synthesize(f_hat, params), c_bound, least  # the n complex bins die here
+
+
+def _score(
+    grid: TimeGrid, noise_sq: list[float] | np.ndarray, p: float, filters: tuple[str, ...],
+    c_bound: float, params: MediumParams,
+) -> tuple[list, list, list, dict[FilterKind, list]]:
+    """Each row's ``delta``, ``delta_max``, ``mu`` and bound per kind, from its ``sum(eta^2)``."""
+    delta = np.maximum(np.sqrt(grid.dt * np.asarray(noise_sq)), DELTA_FLOOR).tolist()
+    delta_max = [delta_max_rule(d) for d in delta]
+    kinds = [kind for kind in FilterKind if kind.value in filters]
+    mu = [choose_mu(d, d_max, p) for d, d_max in zip(delta, delta_max)] if kinds else []
+    bounds = {kind: [] for kind in kinds}
+    for m, d, d_max in zip(mu, delta, delta_max):
+        reg = RegParams(m, p, d, d_max)
+        for kind in kinds:
+            bounds[kind].append(error_bound(kind, c_bound, reg, params))
+    return delta, delta_max, mu, bounds
+
+
 def _run_cells(
     f_true: RealSignal, y: RealSignal, params: MediumParams, p: float, epsilon: float,
     seeds: list[tuple[int, int]], filters: tuple[str, ...], c_bound: float,
@@ -239,27 +263,19 @@ def _run_cells(
     stack = np.zeros((len(seeds), y.grid.n))  # the noise, then y_noisy
     for row, (_, rng_seed) in zip(stack, seeds):
         row[:] = np.random.default_rng(rng_seed).normal(0.0, epsilon, y.grid.n)
-    delta = np.maximum(np.sqrt(y.grid.dt * np.sum(stack * stack, axis=-1)), DELTA_FLOOR).tolist()
+    noise_sq = np.sum(stack * stack, axis=-1)
     stack += y.samples
     y_noisy = RealSignal(y.grid, stack)
-    delta_max = [delta_max_rule(d) for d in delta]
+    delta, delta_max, mu, bounds = _score(y.grid, noise_sq, p, filters, c_bound, params)
     spectrum = dft(y_noisy)
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
     if "naive" in filters:
         estimate = _invert(spectrum, params)
         none = [None] * len(seeds)
         columns["naive"] = (estimate, none, relative_error(estimate, f_true).tolist(), none)
-    kinds = [kind for kind in FilterKind if kind.value in filters]
-    if kinds:
-        mu = [choose_mu(d, d_max, p) for d, d_max in zip(delta, delta_max)]
-        bounds = {kind: [] for kind in kinds}
-        for m, d, d_max in zip(mu, delta, delta_max):
-            reg = RegParams(m, p, d, d_max)
-            for kind in kinds:
-                bounds[kind].append(error_bound(kind, c_bound, reg, params))
-        for kind, bound in bounds.items():
-            estimate = _invert(spectrum, params, kind, np.array(mu)[:, None])
-            columns[kind.value] = (estimate, mu, relative_error(estimate, f_true).tolist(), bound)
+    for kind, bound in bounds.items():
+        estimate = _invert(spectrum, params, kind, np.array(mu)[:, None])
+        columns[kind.value] = (estimate, mu, relative_error(estimate, f_true).tolist(), bound)
     y_noisy = _row_views(y_noisy)
     estimates = {label: _row_views(column[0]) for label, column in columns.items()}
     return [
@@ -312,11 +328,7 @@ def run_sweep(
     Each cell's RNG stream depends only on ``(master_seed, eps index, seed
     id)``, so results do not depend on how cells are grouped or ordered.
     """
-    f_hat = dft(f_true)
-    with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
-        c_bound = float(hp_norm(f_hat, p))
-    y = _synthesize(f_hat, params)
-    del f_hat  # n complex bins: not kept through the sweep
+    y, c_bound, _ = _measure(f_true, params, p)
     return _sweep(f_true, y, params, p, eps_list, seed_ids, filters, master_seed, c_bound)
 
 

@@ -127,6 +127,7 @@ class TestConfigValidation:
             dict(eps_list=(0.1, 0.1)),
             dict(eps_list=(0.1, 0.1000001)),  # both name signals_0.1_<seed>.csv
             dict(t_max=5e-324),
+            dict(eps_list=(-0.0,)),
         ],
     )
     def test_rejects_invalid(self, tmp_path, overrides):
@@ -164,7 +165,7 @@ class TestConfigValidation:
         def sampled(*args):
             raise AssertionError("tables sampled")
 
-        monkeypatch.setattr(cli, "_tables", sampled)
+        monkeypatch.setattr(pipeline, "_tables", sampled)
         cfg = ExperimentConfig(**self.base_kwargs(out_dir=tmp_path / "out"))
         with pytest.raises(AssertionError, match="tables sampled"):
             run_experiment(cfg)
@@ -241,6 +242,7 @@ class TestMainExitCodes:
             (["--pad", "4611686018427387904"], None, 2, "error: n and pad:"),
             ([], {"example": 2, "n": 8, "seeds": 1, "eps": [1e17]}, 2,
              "error: eps: noise level 1e+17 is too large"),
+            (["--eps=-0"], None, 2, "error: noise levels must be nonnegative, got -0.0"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
@@ -328,7 +330,7 @@ class TestMainExitCodes:
         assert rc == 3
         assert "guard failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["_tables", "_sweep"])
+    @pytest.mark.parametrize("target", ["_measure", "_sweep"])
     def test_out_of_memory_exits_three_naming_the_grid(self, tmp_path, monkeypatch, capsys,
                                                        target):
         def exhausted(*args):
@@ -455,8 +457,8 @@ class TestRunExperiment:
         assert main(["run", "--config", str(config)]) == 2
 
     def test_run_synthesizes_the_measurement_once(self, tmp_path, monkeypatch):
-        calls, transforms = [], []
-        real, real_dft = pipeline._synthesize, pipeline.dft
+        calls, transforms, norms = [], [], []
+        real, real_dft, real_norm = pipeline._synthesize, pipeline.dft, pipeline.hp_norm
 
         def counted(f_hat, params):
             calls.append(f_hat.grid)
@@ -467,12 +469,14 @@ class TestRunExperiment:
                 transforms.append(signal.grid)
             return real_dft(signal)
 
-        for module in (pipeline, cli):
-            monkeypatch.setattr(module, "_synthesize", counted)
-            monkeypatch.setattr(module, "dft", counted_dft)
+        monkeypatch.setattr(pipeline, "_synthesize", counted)
+        monkeypatch.setattr(pipeline, "dft", counted_dft)
+        monkeypatch.setattr(pipeline, "hp_norm",
+                            lambda f_hat, p: norms.append(p) or real_norm(f_hat, p))
         assert main(["run", "--example", "1", "--n", "8", "--eps", "0.1,0.01",
                      "--seeds", "2", "--out", str(tmp_path)]) == 0
         assert len(calls) == len(transforms) == 1
+        assert norms == [1.0]  # the norm at p is finite: no second norm at the least p
 
     def test_report_object(self, tmp_path):
         cfg = ExperimentConfig(

@@ -88,6 +88,8 @@ class TestAddNoise:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseSpec(-0.1, 0)
+        with pytest.raises(ValueError):
+            NoiseSpec(-0.0, 0)
 
 
 class TestTables:
@@ -300,6 +302,34 @@ class TestSweep:
             assert list(single.estimates) == list(cell.estimates) == list(ALL_ESTIMATORS)
             for label, estimate in cell.estimates.items():
                 assert single.estimates[label].samples.tobytes() == estimate.samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "p, filters, expected_norms",
+        [(1.0, ALL_ESTIMATORS, [1.0]), (1000.0, ("naive",), [1000.0, 5e-324])],
+    )
+    def test_sweep_measures_the_source_once(self, square, monkeypatch, p, filters,
+                                            expected_norms):
+        # one dft and one synthesis of the source; the norm at the least p only
+        # where the norm at p overflows, as it does for the square wave at p = 1000
+        transforms, syntheses, norms = [], [], []
+        real_dft, real_synthesize, real_norm = pipeline.dft, pipeline._synthesize, pipeline.hp_norm
+
+        def counted_dft(signal):
+            if signal.samples.ndim == 1:  # the source; noisy measurements come as stacks
+                transforms.append(signal.grid)
+            return real_dft(signal)
+
+        def counted_synthesize(f_hat, params):
+            syntheses.append(f_hat.grid)
+            return real_synthesize(f_hat, params)
+
+        monkeypatch.setattr(pipeline, "dft", counted_dft)
+        monkeypatch.setattr(pipeline, "_synthesize", counted_synthesize)
+        monkeypatch.setattr(pipeline, "hp_norm",
+                            lambda f_hat, p: norms.append(p) or real_norm(f_hat, p))
+        run_sweep(square, EX1, p, (0.1, 0.01), (0, 1), filters, 7)
+        assert len(transforms) == len(syntheses) == 1
+        assert norms == expected_norms
 
     @pytest.mark.parametrize("params,name", [(EX1, "square"), (EX2, "exp")])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
