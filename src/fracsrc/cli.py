@@ -20,7 +20,7 @@ settings; :func:`run_experiment` checks the run's data before any noise or file
 with the sweep's own ``pipeline._measure`` (medium, grid, source norm) and
 ``pipeline._score`` (the least-noise row and the loudest level's expected row).
 With more than one CPU, a forked child writes the second half of the signals
-rows; if it fails, the run writes them.
+rows; if it fails, or there is no child, the run writes them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -93,7 +95,7 @@ class ExperimentConfig:
                 raise ConfigError(f"noise levels must be nonnegative, got {eps!r}")
         # signals files are named by the level's 6-digit form
         labels = {f"{eps:g}" for eps in self.eps_list}
-        if min(len(labels), len(set(self.eps_list))) < len(self.eps_list):
+        if len(labels) < len(self.eps_list):
             raise ConfigError(
                 f"noise levels must differ in 6 significant digits, got {self.eps_list}"
             )
@@ -206,8 +208,6 @@ def _write_rows(
 
 def _cpu_count() -> int:
     """CPUs this process may run on (Linux)."""
-    import os
-
     return len(os.sched_getaffinity(0))
 
 
@@ -216,39 +216,35 @@ def _write_signals(
 ) -> None:
     """Write the signals files with ``_write_rows``, which takes the same arguments.
 
-    With more than one CPU on Linux, a forked child writes the second half of
-    the rows.  The file that straddles the split gets its head from this
-    process and its tail from the child, through an anonymous file that this
-    process appends once the child is done.  If the child fails, this process
-    writes the child's rows itself, so the bytes and errors are one process's.
+    This process writes the first half of the rows; with more than one CPU on
+    Linux, a forked child writes the second.  The file that straddles the split
+    gets its tail from the child through an anonymous file, appended once the
+    child is done.  If the child fails, or there is none, this process writes the
+    second half itself, so the bytes and errors are one process's.
     """
-    import os
-    import warnings
-
     args = (paths, header, shared, own)
     n = len(shared[0])
     total = len(paths) * n
-    if sys.platform != "linux" or _cpu_count() < 2:  # fork, memfd_create, sendfile to a file
-        _write_rows(0, total, None, *args)
-        return
     split = total // 2
-    tail = os.memfd_create("signals-tail") if split % n else None
-    pid = None
+    tail = pid = None
+    status = 1  # until a child has written rows [split, total)
     try:
-        with warnings.catch_warnings():
-            # numpy's BLAS threads make Python >= 3.12 warn; the child calls no threaded code
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
-            status = 1
-            try:
-                _write_rows(split, total, tail, *args)
-                status = 0
-            finally:
-                os._exit(status)
+        if sys.platform == "linux" and _cpu_count() > 1:  # fork, memfd_create, sendfile to a file
+            tail = os.memfd_create("signals-tail") if split % n else None
+            with warnings.catch_warnings():
+                # numpy's BLAS threads make Python >= 3.12 warn; the child calls no threaded code
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
+                try:
+                    _write_rows(split, total, tail, *args)
+                    status = 0
+                finally:
+                    os._exit(status)
         _write_rows(0, split, None, *args)
-        status = os.waitpid(pid, 0)[1]
-        pid = None
+        if pid is not None:
+            status = os.waitpid(pid, 0)[1]
+            pid = None
         if status:  # rewrites whole files from their first row and drops the tail
             _write_rows(split, total, None, *args)
         elif tail is not None:
@@ -270,20 +266,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     grid = cfg.grid()
     f_true = preset_source(cfg.source, grid)
     try:  # _measure refuses a degenerate medium or grid first
-        y, c_bound, least = _measure(f_true, cfg.params, cfg.p)
+        y, c_bound = _measure(f_true, cfg.params, cfg.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    filtered = bool(set(cfg.filters) - {"naive"})
-    if filtered and not math.isfinite(least):
-        raise ConfigError(
-            "t_max: the source's H^p norm overflows at every p > 0 "
-            f"with t_max = {cfg.t_max:g} and n = {cfg.n}"
-        )
-    if filtered and not math.isfinite(c_bound):
-        raise ConfigError(
-            "smoothness order p is too large for this source: "
-            f"its H^p norm overflows at p = {cfg.p:g}"
-        )
     # the sweep's scoring of the least-noise row (mu grows with delta: can p score it?)
     # and of the loudest level's expected row, whose sum(eta^2) is n eps^2
     loudest = max(cfg.eps_list)
@@ -293,7 +278,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         try:
             _score(grid, [noise_sq], cfg.p, cfg.filters, c_bound, cfg.params)
         except ValueError as exc:
-            raise ConfigError(f"{refusal}: {exc}") from exc
+            if noise_sq or math.isfinite(c_bound):  # else a filtered row met an overflowed norm
+                raise ConfigError(f"{refusal}: {exc}") from exc
+            if math.isfinite(_measure(f_true, cfg.params, 5e-324)[1]):  # at the least p > 0
+                raise ConfigError(f"{refusal}: its H^p norm overflows at p = {cfg.p:g}") from exc
+            raise ConfigError(
+                "t_max: the source's H^p norm overflows at every p > 0 "
+                f"with t_max = {cfg.t_max:g} and n = {cfg.n}"
+            ) from exc
     cells = _sweep(
         f_true, y, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed,
         c_bound,

@@ -13,8 +13,8 @@ measurements, one forward transform, then per estimator one gain table and
 one inverse transform, and errors one per row.  The per-cell results, views
 of those rows, are built on return; ``run_cell`` is the same code on one row.
 ``_measure`` takes the source's one transform to ``y`` and its Sobolev norm,
-and ``_score`` a row's noise to ``delta``, ``mu`` and bounds, for the sweep
-and for ``cli.run_experiment``'s checks alike.
+and ``_score``, the one judge of which rows read that norm, a row's noise to
+``delta``, ``mu`` and bounds, for the sweep and ``cli.run_experiment`` alike.
 
 The multiplier tables (``Lambda`` and ``G(x0, .)`` on the grid's bins) depend
 only on the medium and the grid, so they are sampled once per
@@ -227,13 +227,12 @@ def _check_filters(filters: tuple[str, ...]) -> None:
             )
 
 
-def _measure(f_true: RealSignal, params: MediumParams, p: float) -> tuple[RealSignal, float, float]:
-    """``y``, the source's ``H^p`` norm and, where that overflows, its norm at the least p > 0."""
+def _measure(f_true: RealSignal, params: MediumParams, p: float) -> tuple[RealSignal, float]:
+    """``y`` and the source's ``H^p`` norm, which may overflow, from one transform of the source."""
     f_hat = dft(f_true)
     with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
         c_bound = float(hp_norm(f_hat, p))
-        least = c_bound if math.isfinite(c_bound) else float(hp_norm(f_hat, 5e-324))
-    return _synthesize(f_hat, params), c_bound, least  # the n complex bins die here
+    return _synthesize(f_hat, params), c_bound  # the n complex bins die here
 
 
 def _score(
@@ -328,7 +327,7 @@ def run_sweep(
     Each cell's RNG stream depends only on ``(master_seed, eps index, seed
     id)``, so results do not depend on how cells are grouped or ordered.
     """
-    y, c_bound, _ = _measure(f_true, params, p)
+    y, c_bound = _measure(f_true, params, p)
     return _sweep(f_true, y, params, p, eps_list, seed_ids, filters, master_seed, c_bound)
 
 

@@ -243,6 +243,9 @@ class TestMainExitCodes:
             ([], {"example": 2, "n": 8, "seeds": 1, "eps": [1e17]}, 2,
              "error: eps: noise level 1e+17 is too large"),
             (["--eps=-0"], None, 2, "error: noise levels must be nonnegative, got -0.0"),
+            # no row reads the overflowing norm at p = 1000: the noise level is blamed
+            (["--filters", "naive", "--p", "1000", "--eps", "1e300"], None, 2,
+             "error: eps: noise level 1e+300 is too large to score: delta must be"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
@@ -577,6 +580,19 @@ class TestSignalsWriter:
         for cpus in (2, 1):
             out = tmp_path / str(cpus)
             assert self.run_on(cpus, monkeypatch, [*run, "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] == written[1]
+
+    def test_no_fork_outside_linux(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked outside Linux")
+
+        written = []
+        for cpus, platform in ((2, "darwin"), (1, sys.platform)):
+            monkeypatch.setattr(sys, "platform", platform)
+            monkeypatch.setattr(os, "fork", no_fork)
+            out = tmp_path / str(cpus)
+            assert self.run_on(cpus, monkeypatch, [*self.THREE_FILES, "--out", str(out)]) == 0
             written.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert written[0] == written[1]
 
