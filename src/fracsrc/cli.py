@@ -113,8 +113,10 @@ class ExperimentConfig:
             _check_filters(self.filters)
             if not (self.p > 0.0 and math.isfinite(self.p)):
                 raise ConfigError(f"smoothness order p must be positive, got {self.p!r}")
-            if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1):
-                raise ConfigError(f"pad factor must be an integer >= 1, got {self.pad_factor!r}")
+            if not (isinstance(self.pad_factor, int) and self.pad_factor >= 1
+                    and self.pad_factor & (self.pad_factor - 1) == 0):  # then n * pad is one too
+                raise ConfigError(
+                    f"pad factor must be a power of two >= 1, got {self.pad_factor!r}")
             samples = self.grid().n  # checks n and t_max
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -137,6 +139,11 @@ class ExperimentReport:
     files: tuple[Path, ...]
 
 
+# Rows of a signals file formatted, and source samples evaluated, at a time;
+# it bounds the text and the Python floats in memory.
+_SIGNALS_BLOCK = 4096
+
+
 def preset_source(preset_id: str, grid: TimeGrid) -> RealSignal:
     """Sample one of the two benchmark sources on ``grid``.
 
@@ -150,17 +157,17 @@ def preset_source(preset_id: str, grid: TimeGrid) -> RealSignal:
         inside = (0.0 <= times) & (times <= 10.0)
         return RealSignal(grid, np.where(low, -1.0, np.where(inside, 1.0, 0.0)))
     if preset_id == "exp":
-        # math.exp, not np.exp: the two differ in the last bit on some samples
-        decay = [6.51 * math.exp(-t) for t in times.tolist()]
+        # math.exp, not np.exp: the two differ in the last bit on some samples;
+        # a block at a time, so no n-long list of Python floats is ever alive
+        decay = np.empty(grid.n)
+        for start in range(0, grid.n, _SIGNALS_BLOCK):
+            block = times[start:start + _SIGNALS_BLOCK].tolist()
+            decay[start:start + len(block)] = [6.51 * math.exp(-t) for t in block]
         return RealSignal(grid, np.where((0.0 <= times) & (times <= 10.0), decay, 0.0))
     raise ConfigError(f"unknown source preset {preset_id!r}")
 
 
-# Rows of a signals file formatted at a time; it bounds the text in memory.
 # "%.17g" % x and f"{x:.17g}" give the same bytes (PyOS_double_to_string).
-_SIGNALS_BLOCK = 4096
-
-
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.17g}"
 

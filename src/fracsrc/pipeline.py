@@ -167,7 +167,9 @@ def _invert(
     """Apply ``Lambda``, or the ``kind`` filter at ``mu`` (a column for a stack), and invert."""
     tables = _tables(params, spectrum.grid)
     gain = tables.inverse if kind is None else tables.inverse * attenuation(kind, tables.xi, mu)
-    return idft(apply_multiplier(spectrum, gain))
+    filtered = apply_multiplier(spectrum, gain)
+    del gain  # one complex stack, as large as idft's own buffer: not alive while idft allocates
+    return idft(filtered)
 
 
 def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:

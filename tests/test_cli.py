@@ -67,10 +67,19 @@ class TestPresetSource:
         assert sample_at(f, 12.0) == 0.0
 
     @pytest.mark.parametrize("grid", [TimeGrid(256, 10.0), TimeGrid(65536, 10.0),
-                                      TimeGrid(65536, 40.0)])
+                                      TimeGrid(65536, 40.0), TimeGrid(8192 * 2, 10.0 * 2)])
     def test_exponential_matches_the_scalar_loop_bit_for_bit(self, grid):
         expected = [6.51 * math.exp(-t) if 0.0 <= t <= 10.0 else 0.0 for t in grid.times()]
         assert preset_source("exp", grid).samples.tobytes() == np.array(expected).tobytes()
+
+    def test_exponential_blocks_need_not_divide_the_grid(self, monkeypatch):
+        # n = 2^13 at pad 2: times pass 10, and the last of the 1000-sample blocks is short
+        grid = TimeGrid(8192 * 2, 10.0 * 2)
+        times = grid.times()
+        decay = [6.51 * math.exp(-t) for t in times.tolist()]
+        expected = np.where((0.0 <= times) & (times <= 10.0), decay, 0.0)
+        monkeypatch.setattr(cli, "_SIGNALS_BLOCK", 1000)
+        assert preset_source("exp", grid).samples.tobytes() == expected.tobytes()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -246,6 +255,8 @@ class TestMainExitCodes:
             # no row reads the overflowing norm at p = 1000: the noise level is blamed
             (["--filters", "naive", "--p", "1000", "--eps", "1e300"], None, 2,
              "error: eps: noise level 1e+300 is too large to score: delta must be"),
+            # n * pad would be a power of two only by chance: pad is named, not n
+            (["--pad", "3"], None, 2, "error: pad factor must be a power of two"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):

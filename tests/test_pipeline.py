@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -425,3 +426,27 @@ class TestSweep:
         assert len(seeds) == 100
         assert cell_seed(9, 2, 3) == cell_seed(9, 2, 3)
         assert cell_seed(9, 2, 3) != cell_seed(10, 2, 3)
+
+
+def test_traced_peak_per_bin_of_a_one_cell_run():
+    # Example 2 as one cell with all four estimators, as the large benchmark run.
+    # The bounds sit between this code's peaks (about 27 and 145 B per bin here,
+    # 25 and 145 at n = 2^20) and those of a source built from n-long lists and
+    # gain tables alive through the inverse FFT (72.6 and 161.2).
+    def one_cell(grid):
+        f_true = preset_source("exp", grid)
+        source_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_sweep(f_true, EX2, 2.0, (0.1,), (0,), ALL_ESTIMATORS, 12345)
+        return source_peak, tracemalloc.get_traced_memory()[1]  # the sweep's counts f_true
+
+    one_cell(GRID)  # one-time allocations, such as lazy imports, are not per bin
+    n = 1 << 16
+    _tables.cache_clear()  # the sweep samples its tables, as a run does
+    tracemalloc.start()
+    try:
+        source_peak, sweep_peak = one_cell(TimeGrid(n, 10.0))
+    finally:
+        tracemalloc.stop()
+    assert source_peak / n <= 32.0
+    assert sweep_peak / n <= 150.0
