@@ -20,7 +20,10 @@ settings; :func:`run_experiment` checks the run's data before any noise or file
 with the sweep's own ``pipeline._measure`` (medium, grid, source norm) and
 ``pipeline._score`` (the least-noise row and the loudest level's expected row).
 With more than one CPU, a forked child writes the second half of the signals
-rows; if it fails, or there is no child, the run writes them.
+rows; if it fails, or there is no child (the fork failing too), the run writes
+them.  Both processes format the signals floats with NumPy into the bytes of
+``"%.17g"``, and hand to ``"%.17g"`` itself the values they cannot place: zeros,
+magnitudes outside [1e-280, 1e280], and near-ties at the 17th digit.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import sys
 import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -139,9 +141,9 @@ class ExperimentReport:
     files: tuple[Path, ...]
 
 
-# Rows of a signals file formatted, and source samples evaluated, at a time;
-# it bounds the text and the Python floats in memory.
-_SIGNALS_BLOCK = 4096
+# Values a "%.17g" formatter call takes; it bounds the signals writer's arrays and text.
+_SIGNALS_BLOCK = 1024
+_TABLES: dict[str, np.ndarray] = {}  # the formatter's, built by _tables on first use
 
 
 def preset_source(preset_id: str, grid: TimeGrid) -> RealSignal:
@@ -157,12 +159,9 @@ def preset_source(preset_id: str, grid: TimeGrid) -> RealSignal:
         inside = (0.0 <= times) & (times <= 10.0)
         return RealSignal(grid, np.where(low, -1.0, np.where(inside, 1.0, 0.0)))
     if preset_id == "exp":
-        # math.exp, not np.exp: the two differ in the last bit on some samples;
-        # a block at a time, so no n-long list of Python floats is ever alive
-        decay = np.empty(grid.n)
-        for start in range(0, grid.n, _SIGNALS_BLOCK):
-            block = times[start:start + _SIGNALS_BLOCK].tolist()
-            decay[start:start + len(block)] = [6.51 * math.exp(-t) for t in block]
+        # math.exp, not np.exp: the two differ in the last bit on some samples
+        decay = np.fromiter(map(math.exp, np.negative(times)), float, grid.n)
+        decay *= 6.51
         return RealSignal(grid, np.where((0.0 <= times) & (times <= 10.0), decay, 0.0))
     raise ConfigError(f"unknown source preset {preset_id!r}")
 
@@ -180,37 +179,146 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None
             fh.write(",".join(row) + "\n")
 
 
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """``hi + lo = 10**k`` within 2**-106 of it, and ``hi`` split into 26-bit halves (Dekker)."""
+    p, q = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = p / q  # int / int rounds correctly
+    num, den = hi.as_integer_ratio()
+    head = hi * 134217729.0 - (hi * 134217729.0 - hi)
+    return hi, head, hi - head, (p * den - num * q) / (q * den)
+
+
+def _tables() -> dict[str, np.ndarray]:
+    # Built from Python and numpy fills: other numpy loops map more of numpy's library in.
+    if not _TABLES:
+        # A field's 48 bytes: sign, "0.000", digits 0..16 each with a dot slot after, "e+-", 3
+        # exponent digits, 2 spare.  Template [layout, digits - 1, sign] has 255 where a digit
+        # goes; layouts 0..20 are fixed, of exponent layout - 4, 21..24 the exponent form.
+        template = np.zeros((25, 17, 2, 48), np.uint8)
+        template[:, :, 1, 0] = ord("-")
+        for k in range(17):
+            template[:, k, :, 6:8 + 2 * k:2] = 255  # k + 1 significant digits
+            template[k + 4, :, :, 6:8 + 2 * k:2] = 255  # exponent k: k + 1 integer digits
+            template[k + 4, k + 1:, :, 7 + 2 * k] = ord(".")  # and a dot, if digits follow
+        for x in range(1, 5):  # exponent -x: "0." and x - 1 zeros
+            template[4 - x, :, :, 1:2 + x] = [*b"0.000"[:1 + x]]
+        template[21:, 1:, :, 7], template[21:, :, :, 40], template[21:, :, :, 44:46] = 46, 101, 255
+        template[21:23, :, :, 42], template[23:, :, :, 41], template[22::2, :, :, 43] = 45, 43, 255
+        _TABLES.update(
+            template=template.reshape(-1, 48),
+            # by exponent e + 300: 34 layout - 2, the template less 2 digits + sign
+            layout=np.array([34 * (e + 4 if -4 <= e <= 16 else 21 + 2 * (e > 0) + (abs(e) > 99)) - 2
+                             for e in range(-300, 301)]),
+            exponent=np.frombuffer(b"".join(  # bytes 40..47, by exponent e + 300
+                b"\xff\xff\xff%03d\xff\xff" % abs(e) for e in range(-300, 301)), np.uint64),
+            pairs=np.frombuffer(b"".join(  # of 2 digits "ab": a, -, b, -
+                b"%c\xff%c\xff" % (48 + i // 10, 48 + i % 10) for i in range(100)), np.uint32),
+            sig=np.array([2 if i % 10 else 0 if i else -198 for i in range(100)]),  # see _format
+            pow10=np.full((4, 601), np.nan),  # filled as exponents e + 300 turn up
+        )
+    return _TABLES
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - e)`` as ``p + r``: ``p`` the rounded product, ``r`` to about 1e-14."""
+    pow10 = _TABLES["pow10"]
+    for i in set(e[np.isnan(pow10[0].take(e))].tolist()):  # exponents not met before
+        pow10[:, i] = _pow10(316 - i)
+    hi, head, tail, lo = pow10.take(e, axis=1)
+    p = a * hi  # its exact error is Dekker's two-product's
+    a_head = a * 134217729.0 - (a * 134217729.0 - a)
+    a_tail = a - a_head
+    return p, (((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail) + a * lo
+
+
+def _format(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.17g" % v`` for each value, spread over 48 bytes with zeros to drop.
+
+    Each ``|v|`` in [1e-280, 1e280] is scaled exactly enough to round to 17
+    digits; a zero, any other ``|v|``, and a scaled fraction within 1e-6 of a
+    half (every exact tie among them) are formatted by ``"%.17g"`` itself.
+    """
+    tables = _tables()
+    x = values.ravel()
+    a = np.abs(x)
+    outside = ~((a >= 1e-280) & (a <= 1e280))  # nan too
+    np.copyto(a, 1.0, where=outside)
+    e = np.floor(np.log10(a)).astype(np.intp) + 300  # the exponent, maybe one off, + 300
+    p, r = _scaled(a, e)
+    low, high = (p - 1e16) + r < 0, (p - 1e17) + r >= 0  # exact signs: p - 1e16 is exact
+    wrong = np.flatnonzero(low | high)
+    if wrong.size:
+        e[low] -= 1
+        e[high] += 1
+        p[wrong], r[wrong] = _scaled(a[wrong], e[wrong])
+    np.copyto(r, 0.5, where=outside)  # a tie, to hand back
+    whole = np.rint(r)
+    d = p.astype(np.int64) + whole.astype(np.int64)  # 17 digits, or 10**17 when they round up
+    lead = d // 10 ** 16
+    d -= lead * 10 ** 16
+    top = d // 10 ** 8
+    pairs = np.stack((top, d - top * 10 ** 8))[:, None] / [[1e6], [1e4], [1e2], [1.0]]
+    np.floor(pairs, out=pairs)  # each 8-digit half's leading 2, 4, 6 and 8 digits
+    pairs[:, 1:] -= 100 * pairs[:, :-1]
+    pairs = pairs.astype(np.intp).reshape(8, -1)
+    e += lead // 10  # where the 17 digits round up to 10**17
+    sig = tables["sig"][pairs]  # 2 s - 4 j, s the digits up to pair j's last nonzero one
+    sig += np.arange(4, 36, 4)[:, None]
+    t = tables["layout"][e] + sig.max(axis=0, initial=2)
+    t[x < 0] += 1
+    out = tables["template"][t]
+    out.view(np.uint64)[:, 5] &= tables["exponent"][e]
+    words = out.view(np.uint32)
+    words[:, 1] &= tables["pairs"][lead - lead // 10 * 9]  # "0d"; its "0" meets "0.000"
+    for j, piece in enumerate(tables["pairs"][pairs], 2):
+        words[:, j] &= piece
+    for i in np.flatnonzero(abs(r - whole) > 0.5 - 1e-6).tolist():
+        out[i] = np.frombuffer((b"%.17g" % x[i]).ljust(48, b"\0"), np.uint8)
+    return out.reshape(values.shape + (48,))
+
+
 def _write_rows(
     lo: int, hi: int, tail: int | None, paths: list[Path], header: str,
     shared: list[np.ndarray], own: list[list[np.ndarray]],
 ) -> None:
     """Write rows ``[lo, hi)`` of the signals files, taken file after file.
 
-    Every file has the ``shared`` columns, formatted once per block, and file
-    ``f`` its ``own[f]``.  A file begun before ``lo`` gets its rows, without
-    the header, at the end of the open descriptor ``tail``, or of its file
-    when ``tail`` is None.
+    Every file has the ``shared`` columns, formatted once per block of rows,
+    and file ``f`` its ``own[f]``, formatted for several files at a call.  A
+    file begun before ``lo`` gets its rows, without the header, at the end of
+    the open descriptor ``tail``, or of its file when ``tail`` is None.
     """
-    n = len(shared[0])
+    n, width = len(shared[0]), len(own[0])
     first, last = lo // n, (hi - 1) // n
     rows = range(lo - first * n, hi - last * n) if first == last else range(n)
-    for start in range(rows.start, rows.stop, _SIGNALS_BLOCK):
-        stop = min(start + _SIGNALS_BLOCK, rows.stop)
-        shared_rows = zip(*(column[start:stop].tolist() for column in shared))
-        prefixes = ["%.17g,%.17g,%.17g" % row for row in shared_rows]
-        for f in range(first, last + 1):
-            a, b = max(start, lo - f * n), min(stop, hi - f * n)
-            if a >= b:
-                continue
-            own_rows = (column[a:b].tolist() for column in own[f])
-            values = chain.from_iterable(zip(prefixes[a - start:b - start], *own_rows))
-            text = (("%s" + ",%.17g" * len(own[f]) + "\n") * (b - a)) % tuple(values)
-            # "w" on a file's first row drops whatever an earlier run left in it
-            with (open(tail, "w", closefd=False) if tail is not None and f * n < lo
-                  else paths[f].open("a" if a else "w")) as fh:
-                if not a:
-                    fh.write(header)
-                fh.write(text)
+    step = max(1, _SIGNALS_BLOCK // max(width, 3))  # rows a formatter call takes
+    for start in range(rows.start, rows.stop, step):
+        stop = min(start + step, rows.stop)
+        prefixes = _format(np.stack([column[start:stop] for column in shared], axis=1))
+        spans = [(f, max(start, lo - f * n), min(stop, hi - f * n)) for f in range(first, last + 1)]
+        spans = [span for span in spans if span[1] < span[2]]
+        per_call = max(1, step // (stop - start))
+        for group in (spans[g:g + per_call] for g in range(0, len(spans), per_call)):
+            fields = _format(np.concatenate(
+                [np.stack([column[a:b] for column in own[f]], axis=1) for f, a, b in group]))
+            # a row of fields a row of the files; a field's last byte takes its separator
+            buf = bytearray(len(fields) * (3 + width) * 48)
+            block = np.frombuffer(buf, np.uint8).reshape(len(fields), 3 + width, 48)
+            block[:, :3] = np.concatenate([prefixes[a - start:b - start] for _, a, b in group])
+            block[:, 3:] = fields
+            block[:, :, 47] = ord(",")
+            block[:, -1, 47] = ord("\n")
+            text = memoryview(buf.translate(None, b"\0"))
+            for f, a, b in group:
+                size = np.count_nonzero(block[:b - a])
+                block, chunk, text = block[b - a:], text[:size], text[size:]
+                # "w" on a file's first row drops whatever an earlier run left in it
+                with (open(tail, "wb", closefd=False) if tail is not None and f * n < lo
+                      else open(paths[f], "ab" if a else "wb")) as fh:
+                    if not a:
+                        fh.write(header.encode())
+                    fh.write(chunk)
+            del fields, buf, block, text, chunk  # before the next group's
 
 
 def _cpu_count() -> int:
@@ -235,13 +343,17 @@ def _write_signals(
     split = total // 2
     tail = pid = None
     status = 1  # until a child has written rows [split, total)
+    _tables()  # before the fork, so a child inherits the tables
     try:
         if sys.platform == "linux" and _cpu_count() > 1:  # fork, memfd_create, sendfile to a file
-            tail = os.memfd_create("signals-tail") if split % n else None
-            with warnings.catch_warnings():
-                # numpy's BLAS threads make Python >= 3.12 warn; the child calls no threaded code
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
+            try:  # either failing leaves no child, and this process writes every row
+                tail = os.memfd_create("signals-tail") if split % n else None
+                with warnings.catch_warnings():
+                    # numpy's BLAS threads make Python >= 3.12 warn; the child calls none
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                pass
             if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
                 try:
                     _write_rows(split, total, tail, *args)
@@ -250,7 +362,11 @@ def _write_signals(
                     os._exit(status)
         _write_rows(0, split, None, *args)
         if pid is not None:
-            status = os.waitpid(pid, 0)[1]
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except OSError:  # the child's status is lost: stop it, and write its rows here
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
             pid = None
         if status:  # rewrites whole files from their first row and drops the tail
             _write_rows(split, total, None, *args)

@@ -1,4 +1,7 @@
+import builtins
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -717,6 +721,180 @@ class TestSignalsWriter:
         for name in names:
             reused, fresh = tmp_path / "reused" / name, tmp_path / "fresh" / name
             assert reused.read_bytes() == fresh.read_bytes()
+
+
+def _fields(values) -> list[bytes]:
+    """``cli._format``'s fields, their zero bytes dropped."""
+    return [bytes(field).replace(b"\0", b"") for field in cli._format(np.asarray(values, float))]
+
+
+def _percent_17g(values) -> list[bytes]:
+    return [b"%.17g" % v for v in np.asarray(values, float).tolist()]
+
+
+class TestFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_any_finite_double(self, values):  # subnormals included
+        assert _fields(values) == _percent_17g(values)
+
+    EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        1e-280, 1e280, 1e-5, np.nextafter(1e-5, 0), np.nextafter(1e-5, 1),
+        9.9999999999999995e-05, 1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0),
+        1e17, np.nextafter(1e17, 0), 1.0, -1.0, 0.5, 6.51, 123.456, -9.87654321e-200,
+        # just below a power of ten: the 17 digits round up into 10**17
+        1e-14, 1e98, -1e-70, np.nextafter(1.0, 0), np.nextafter(10.0, 0),
+        # exact ties at the 17th digit, rounded half to even
+        *(k * 2.0 ** -23 for k in range(9, 20, 2)),
+    ]
+
+    def test_edges(self):
+        assert _fields(self.EDGES) == _percent_17g(self.EDGES)
+        assert _fields([9 * 2.0 ** -23]) == [b"1.0728836059570312e-06"]
+
+    def test_every_decade_in_one_batch(self):
+        rng = np.random.default_rng(5)
+        values = 10.0 ** rng.uniform(-300, 300, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        assert _fields(values) == _percent_17g(values)
+
+    def test_shape_and_no_warning(self):
+        values = np.array([[0.0, -0.0, 5e-324, 1e-300], [1e300, math.inf, -math.inf, math.nan],
+                           [1e-5, -123.456, 6.51e279, 9 * 2.0 ** -23]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fields = cli._format(values)
+        assert fields.shape == (3, 4, 48)
+        assert _fields(values.ravel()) == _percent_17g(values.ravel())
+
+    def test_writer_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        # one file of n rows, the ex2-large shape, written by this process alone;
+        # tracemalloc makes the writer about nine times slower, hence the small grids
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        cli._tables()
+        peaks = []
+        for n in (2**14, 2**16):
+            rng = np.random.default_rng(n)
+            shared = [np.arange(n) * (10 / n), rng.normal(size=n), rng.normal(size=n)]
+            own = [[rng.normal(size=n) for _ in range(5)]]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                cli._write_signals([tmp_path / f"{n}.csv"], "h\n", shared, own)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 8 * 1024, peaks
+        assert max(peaks) <= 2**20, peaks
+
+
+# every system call the signals writer makes
+_WRITER_CALLS = ("mkdir", "open", "write", "memfd_create", "fork", "waitpid", "sendfile", "fstat")
+_FAULTS = {
+    **{name: (lambda code=code: OSError(code, os.strerror(code)))
+       for name, code in (("EIO", errno.EIO), ("ENOSPC", errno.ENOSPC),
+                          ("EAGAIN", errno.EAGAIN), ("EMFILE", errno.EMFILE))},
+    "MemoryError": MemoryError,
+}
+# the fork and what serves it only: a failure there leaves the run one process
+_OPTIONAL = {"memfd_create", "fork", "waitpid"}
+
+
+class _FailingWrites:
+    """A file whose first ``write`` raises ``fault``."""
+
+    def __init__(self, fh, fault):
+        self.fh, self.fault = fh, fault
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.fault:
+            fault, self.fault = self.fault, None
+            raise fault()
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+@polls_children
+class TestWriterFaults:
+    # 3 cells of 8 rows: the split falls in signals_0.1_1.csv, so the run makes
+    # every call, memfd_create, sendfile and fstat too
+    RUN = ["run", "--example", "1", "--n", "8", "--eps", "0.1", "--seeds", "3"]
+
+    @pytest.fixture(scope="class")
+    def one_cpu(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("one-cpu")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_cpu_count", lambda: 1)
+            assert main([*self.RUN, "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    @staticmethod
+    def inject(monkeypatch, call, fault, child, fired: Path):
+        """Make the first ``call`` on the signals files, in the child or in this process, fail.
+
+        The failing process creates ``fired``.
+        """
+        test_pid, armed = os.getpid(), [True]
+
+        def fires(target=None) -> bool:
+            signals = isinstance(target, int) or Path(str(target)).name.startswith("signals_")
+            if armed[0] and (os.getpid() != test_pid) == child and (target is None or signals):
+                armed[0] = False
+                fired.touch()
+                return True
+            return False
+
+        if call in ("open", "write"):
+            real_open = open
+
+            def patched(file, *args, **kwargs):
+                if call == "open" and fires(file):
+                    raise fault()
+                fh = real_open(file, *args, **kwargs)
+                return _FailingWrites(fh, fault if call == "write" and fires(file) else None)
+
+            monkeypatch.setattr(builtins, "open", patched)
+            monkeypatch.setattr(io, "open", patched)
+        else:
+            real = getattr(os, call)
+
+            def patched(*args, **kwargs):
+                if fires():
+                    raise fault()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(os, call, patched)
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    @pytest.mark.parametrize("side, call", [("parent", call) for call in _WRITER_CALLS]
+                             + [("child", "open"), ("child", "write")])
+    def test_fault(self, tmp_path, monkeypatch, capsys, one_cpu, side, call, fault):
+        child = side == "child"
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        self.inject(monkeypatch, call, _FAULTS[fault], child, tmp_path / "fired")
+        out = tmp_path / "out"
+        code = main([*self.RUN, "--out", str(out)])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert (tmp_path / "fired").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if child or (call in _OPTIONAL and fault != "MemoryError"):
+            assert (code, err) == (0, "")
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == one_cpu
+            return
+        assert code == (3 if fault == "MemoryError" else 2), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        cause = "out of memory" if fault == "MemoryError" else os.strerror(getattr(errno, fault))
+        assert cause in err, err
 
 
 class TestGoldenFile:
