@@ -142,7 +142,8 @@ class ExperimentReport:
 
 
 # Values a "%.17g" formatter call takes; it bounds the signals writer's arrays and text.
-_SIGNALS_BLOCK = 1024
+_SIGNALS_BLOCK = 1536
+_OPEN_FILES = 32  # signals files a process keeps open at once
 _TABLES: dict[str, np.ndarray] = {}  # the formatter's, built by _tables on first use
 
 
@@ -204,6 +205,10 @@ def _tables() -> dict[str, np.ndarray]:
             template[4 - x, :, :, 1:2 + x] = [*b"0.000"[:1 + x]]
         template[21:, 1:, :, 7], template[21:, :, :, 40], template[21:, :, :, 44:46] = 46, 101, 255
         template[21:23, :, :, 42], template[23:, :, :, 41], template[22::2, :, :, 43] = 45, 43, 255
+        pairs = np.frombuffer(b"".join(  # of 2 digits "ab": a, -, b, -
+            b"%c\xff%c\xff" % (48 + i // 10, 48 + i % 10) for i in range(100)), np.uint32)
+        sig = np.full(10000, 10)  # by 4 digits "abcd": 2 s + 2, s the digits up to the last
+        sig[::10], sig[::100], sig[::1000], sig[0] = 8, 6, 4, -100  # nonzero one; see _format
         _TABLES.update(
             template=template.reshape(-1, 48),
             # by exponent e + 300: 34 layout - 2, the template less 2 digits + sign
@@ -211,9 +216,9 @@ def _tables() -> dict[str, np.ndarray]:
                              for e in range(-300, 301)]),
             exponent=np.frombuffer(b"".join(  # bytes 40..47, by exponent e + 300
                 b"\xff\xff\xff%03d\xff\xff" % abs(e) for e in range(-300, 301)), np.uint64),
-            pairs=np.frombuffer(b"".join(  # of 2 digits "ab": a, -, b, -
-                b"%c\xff%c\xff" % (48 + i // 10, 48 + i % 10) for i in range(100)), np.uint32),
-            sig=np.array([2 if i % 10 else 0 if i else -198 for i in range(100)]),  # see _format
+            lead=pairs.take([*range(10), 1]),  # "0d" by the leading digit, and "01" for 10
+            quads=np.dstack(np.broadcast_arrays(pairs[:, None], pairs)).view(np.uint64).ravel(),
+            sig=sig,
             pow10=np.full((4, 601), np.nan),  # filled as exponents e + 300 turn up
         )
     return _TABLES
@@ -226,9 +231,13 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pow10[:, i] = _pow10(316 - i)
     hi, head, tail, lo = pow10.take(e, axis=1)
     p = a * hi  # its exact error is Dekker's two-product's
-    a_head = a * 134217729.0 - (a * 134217729.0 - a)
-    a_tail = a - a_head
-    return p, (((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail) + a * lo
+    a_head = a * 134217729.0
+    a_head -= np.subtract(a_head, a, out=hi)
+    a_tail = np.subtract(a, a_head, out=hi)
+    r = a_head * head - p  # (((that + a_head tail) + a_tail head) + a_tail tail) + a lo
+    for u, v in ((a_head, tail), (head, a_tail), (tail, a_tail), (lo, a)):
+        r += np.multiply(u, v, out=u)
+    return p, r
 
 
 def _format(values: np.ndarray) -> np.ndarray:
@@ -253,26 +262,28 @@ def _format(values: np.ndarray) -> np.ndarray:
         p[wrong], r[wrong] = _scaled(a[wrong], e[wrong])
     np.copyto(r, 0.5, where=outside)  # a tie, to hand back
     whole = np.rint(r)
+    ties = np.flatnonzero(abs(r - whole) > 0.5 - 1e-6).tolist()
     d = p.astype(np.int64) + whole.astype(np.int64)  # 17 digits, or 10**17 when they round up
+    del a, p, r, whole, low, high, outside
     lead = d // 10 ** 16
     d -= lead * 10 ** 16
-    top = d // 10 ** 8
-    pairs = np.stack((top, d - top * 10 ** 8))[:, None] / [[1e6], [1e4], [1e2], [1.0]]
-    np.floor(pairs, out=pairs)  # each 8-digit half's leading 2, 4, 6 and 8 digits
-    pairs[:, 1:] -= 100 * pairs[:, :-1]
-    pairs = pairs.astype(np.intp).reshape(8, -1)
+    quads = np.empty((4, d.size), np.int64)  # the 16 digits after the first, 4 at a time
+    np.floor_divide(d, 10 ** 8, out=quads[1])
+    np.subtract(d, quads[1] * 10 ** 8, out=quads[3])
+    np.floor_divide(quads[1::2], 10 ** 4, out=quads[::2])
+    quads[1::2] -= quads[::2] * 10 ** 4
     e += lead // 10  # where the 17 digits round up to 10**17
-    sig = tables["sig"][pairs]  # 2 s - 4 j, s the digits up to pair j's last nonzero one
-    sig += np.arange(4, 36, 4)[:, None]
-    t = tables["layout"][e] + sig.max(axis=0, initial=2)
-    t[x < 0] += 1
-    out = tables["template"][t]
-    out.view(np.uint64)[:, 5] &= tables["exponent"][e]
-    words = out.view(np.uint32)
-    words[:, 1] &= tables["pairs"][lead - lead // 10 * 9]  # "0d"; its "0" meets "0.000"
-    for j, piece in enumerate(tables["pairs"][pairs], 2):
-        words[:, j] &= piece
-    for i in np.flatnonzero(abs(r - whole) > 0.5 - 1e-6).tolist():
+    sig = tables["sig"].take(quads)  # + 8 j: 2 s, s the digits up to group j's last nonzero one
+    sig += np.arange(0, 32, 8)[:, None]
+    t = tables["layout"].take(e) + sig.max(axis=0, initial=2) + (x < 0)
+    del sig, d
+    out = tables["template"].take(t, axis=0)
+    words = out.view(np.uint64)
+    words[:, 5] &= tables["exponent"].take(e)
+    out.view(np.uint32)[:, 1] &= tables["lead"].take(lead)  # its "0" meets "0.000"
+    for j, group in enumerate(quads, 1):  # one 2-d &= is slower
+        words[:, j] &= tables["quads"].take(group)
+    for i in ties:
         out[i] = np.frombuffer((b"%.17g" % x[i]).ljust(48, b"\0"), np.uint8)
     return out.reshape(values.shape + (48,))
 
@@ -281,44 +292,53 @@ def _write_rows(
     lo: int, hi: int, tail: int | None, paths: list[Path], header: str,
     shared: list[np.ndarray], own: list[list[np.ndarray]],
 ) -> None:
-    """Write rows ``[lo, hi)`` of the signals files, taken file after file.
+    """Write rows ``[lo, hi)`` of the signals files, opening each file once.
 
-    Every file has the ``shared`` columns, formatted once per block of rows,
-    and file ``f`` its ``own[f]``, formatted for several files at a call.  A
-    file begun before ``lo`` gets its rows, without the header, at the end of
-    the open descriptor ``tail``, or of its file when ``tail`` is None.
+    Every file has the ``shared`` columns, formatted once per block of rows and
+    ``_OPEN_FILES`` files, and file ``f`` its ``own[f]``, formatted for several
+    at a call.  A file begun before ``lo`` gets its rows, without the header, at
+    the end of the open descriptor ``tail``, or of its file when that is None.
     """
     n, width = len(shared[0]), len(own[0])
-    first, last = lo // n, (hi - 1) // n
-    rows = range(lo - first * n, hi - last * n) if first == last else range(n)
     step = max(1, _SIGNALS_BLOCK // max(width, 3))  # rows a formatter call takes
-    for start in range(rows.start, rows.stop, step):
-        stop = min(start + step, rows.stop)
-        prefixes = _format(np.stack([column[start:stop] for column in shared], axis=1))
-        spans = [(f, max(start, lo - f * n), min(stop, hi - f * n)) for f in range(first, last + 1)]
-        spans = [span for span in spans if span[1] < span[2]]
-        per_call = max(1, step // (stop - start))
-        for group in (spans[g:g + per_call] for g in range(0, len(spans), per_call)):
-            fields = _format(np.concatenate(
-                [np.stack([column[a:b] for column in own[f]], axis=1) for f, a, b in group]))
-            # a row of fields a row of the files; a field's last byte takes its separator
-            buf = bytearray(len(fields) * (3 + width) * 48)
-            block = np.frombuffer(buf, np.uint8).reshape(len(fields), 3 + width, 48)
-            block[:, :3] = np.concatenate([prefixes[a - start:b - start] for _, a, b in group])
-            block[:, 3:] = fields
-            block[:, :, 47] = ord(",")
-            block[:, -1, 47] = ord("\n")
-            text = memoryview(buf.translate(None, b"\0"))
-            for f, a, b in group:
-                size = np.count_nonzero(block[:b - a])
-                block, chunk, text = block[b - a:], text[:size], text[size:]
-                # "w" on a file's first row drops whatever an earlier run left in it
-                with (open(tail, "wb", closefd=False) if tail is not None and f * n < lo
-                      else open(paths[f], "ab" if a else "wb")) as fh:
-                    if not a:
-                        fh.write(header.encode())
-                    fh.write(chunk)
-            del fields, buf, block, text, chunk  # before the next group's
+    ends, handles = (hi - 1) // n + 1, {}  # the open files, by index
+    try:
+        for first in range(lo // n, ends, _OPEN_FILES):
+            last = min(first + _OPEN_FILES, ends) - 1
+            for start in range(max(0, lo - last * n), min(n, hi - first * n), step):
+                stop = min(start + step, n, hi - first * n)
+                prefixes = _format(np.stack([column[start:stop] for column in shared], axis=1))
+                spans = [(f, a, b) for f in range(first, last + 1)
+                         for a, b in [(max(start, lo - f * n), min(stop, hi - f * n))] if a < b]
+                per_call = max(1, step // (stop - start))
+                for group in (spans[g:g + per_call] for g in range(0, len(spans), per_call)):
+                    fields = _format(np.concatenate(
+                        [np.stack([col[a:b] for col in own[f]], axis=1) for f, a, b in group]))
+                    # a row of fields a row of the files; a field's last byte takes its separator
+                    buf = bytearray(len(fields) * (3 + width) * 48)
+                    block = np.frombuffer(buf, np.uint8).reshape(len(fields), 3 + width, 48)
+                    block[:, :3] = np.concatenate([prefixes[a - start:b - start]
+                                                   for _, a, b in group])
+                    block[:, 3:] = fields
+                    block[:, :, 47] = ord(",")
+                    block[:, -1, 47] = ord("\n")
+                    del fields  # before the text
+                    text = memoryview(buf.translate(None, b"\0"))
+                    for f, a, b in group:
+                        size = np.count_nonzero(block[:b - a])
+                        block, chunk, text = block[b - a:], text[:size], text[size:]
+                        if f not in handles:  # "w" on row 0 drops an earlier run's rows
+                            handles[f] = (open(tail, "wb", closefd=False) if tail is not None
+                                          and f * n < lo else open(paths[f], "ab" if a else "wb"))
+                            if not a:
+                                handles[f].write(header.encode())
+                        handles[f].write(chunk)
+                        if b == min(n, hi - f * n):  # its last row here
+                            handles.pop(f).close()
+                    del buf, block, text, chunk  # before the next group's
+    finally:
+        for fh in handles.values():
+            fh.close()
 
 
 def _cpu_count() -> int:
@@ -331,11 +351,11 @@ def _write_signals(
 ) -> None:
     """Write the signals files with ``_write_rows``, which takes the same arguments.
 
-    This process writes the first half of the rows; with more than one CPU on
-    Linux, a forked child writes the second.  The file that straddles the split
-    gets its tail from the child through an anonymous file, appended once the
-    child is done.  If the child fails, or there is none, this process writes the
-    second half itself, so the bytes and errors are one process's.
+    With more than one CPU on Linux, this process writes the first half of the
+    rows and a forked child the second.  The file that straddles the split gets
+    its tail from the child through an anonymous file, appended once the child
+    is done.  If the child fails, this process writes the second half itself, and
+    with no child every row, so the bytes and errors are one process's.
     """
     args = (paths, header, shared, own)
     n = len(shared[0])
@@ -360,7 +380,7 @@ def _write_signals(
                     status = 0
                 finally:
                     os._exit(status)
-        _write_rows(0, split, None, *args)
+        _write_rows(0, split if pid else total, None, *args)  # with no child, every row
         if pid is not None:
             try:
                 status = os.waitpid(pid, 0)[1]
@@ -368,14 +388,14 @@ def _write_signals(
                 os.kill(pid, 9)
                 os.waitpid(pid, 0)
             pid = None
-        if status:  # rewrites whole files from their first row and drops the tail
-            _write_rows(split, total, None, *args)
-        elif tail is not None:
-            with paths[split // n].open("r+b") as fh:  # sendfile refuses an O_APPEND target
-                fh.seek(0, os.SEEK_END)
-                offset, size = 0, os.fstat(tail).st_size
-                while offset < size:
-                    offset += os.sendfile(fh.fileno(), tail, offset, size - offset)
+            if status:  # rewrites whole files from their first row and drops the tail
+                _write_rows(split, total, None, *args)
+            elif tail is not None:
+                with paths[split // n].open("r+b") as fh:  # sendfile refuses an O_APPEND target
+                    fh.seek(0, os.SEEK_END)
+                    offset, size = 0, os.fstat(tail).st_size
+                    while offset < size:
+                        offset += os.sendfile(fh.fileno(), tail, offset, size - offset)
     finally:
         if pid:  # this process failed while the child runs
             os.kill(pid, 9)  # SIGKILL: importing signal would add 0.17 MB to the peak RSS

@@ -76,13 +76,12 @@ class TestPresetSource:
         expected = [6.51 * math.exp(-t) if 0.0 <= t <= 10.0 else 0.0 for t in grid.times()]
         assert preset_source("exp", grid).samples.tobytes() == np.array(expected).tobytes()
 
-    def test_exponential_blocks_need_not_divide_the_grid(self, monkeypatch):
-        # n = 2^13 at pad 2: times pass 10, and the last of the 1000-sample blocks is short
+    def test_exponential_blocks_need_not_divide_the_grid(self):
+        # n = 2^13 at pad 2: the times pass 10, where the source ends
         grid = TimeGrid(8192 * 2, 10.0 * 2)
         times = grid.times()
         decay = [6.51 * math.exp(-t) for t in times.tolist()]
         expected = np.where((0.0 <= times) & (times <= 10.0), decay, 0.0)
-        monkeypatch.setattr(cli, "_SIGNALS_BLOCK", 1000)
         assert preset_source("exp", grid).samples.tobytes() == expected.tobytes()
 
     def test_unknown_preset(self):
@@ -689,6 +688,50 @@ class TestSignalsWriter:
         assert capsys.readouterr().err == ""
         assert written[0] == written[1]
 
+    # One file of 2^14 rows on one CPU, and 3 files of 2048 rows on two, split in
+    # the middle file: every file spans many formatter calls.  With _OPEN_FILES = 1
+    # a process has one file open at a time.
+    @polls_children
+    @pytest.mark.parametrize("cpus, files, n, open_files",
+                             [(1, 1, 2**14, None), (2, 3, 2048, None), (2, 3, 2048, 1)])
+    def test_each_file_is_opened_once_per_process(self, tmp_path, monkeypatch, cpus, files, n,
+                                                  open_files):
+        log, handles = tmp_path / "opens", []
+
+        def counted(file, *args, **kwargs):  # a forked child's opens land in the log too
+            name = "tail" if isinstance(file, int) else Path(file).name
+            already = sum(not fh.closed for fh in handles)  # in this process
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{os.getpid()} {name} {already}\n".encode())
+            finally:
+                os.close(fd)
+            handles.append(open(file, *args, **kwargs))
+            return handles[-1]
+
+        rng = np.random.default_rng(n)
+        shared = [np.arange(n) * (10 / n), rng.normal(size=n), rng.normal(size=n)]
+        own = [[rng.normal(size=n) for _ in range(5)] for _ in range(files)]
+        written = []
+        for counting in (False, True):  # one process and nothing patched, then counted
+            out = tmp_path / str(counting)
+            out.mkdir()
+            paths = [out / f"{f}.csv" for f in range(files)]
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_cpu_count", lambda: cpus if counting else 1)
+                if counting:
+                    patch.setattr(cli, "open", counted, raising=False)
+                    patch.setattr(cli, "_OPEN_FILES", open_files or cli._OPEN_FILES)
+                cli._write_signals(paths, "h\n", shared, own)
+            written.append([path.read_bytes() for path in paths])
+        assert written[0] == written[1]
+        opens = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _, _ in opens}) == cpus
+        # each file once, and the tail of the middle one in the child
+        expected = {f"{f}.csv" for f in range(files)} | ({"tail"} if cpus > 1 else set())
+        assert sorted(name for _, name, _ in opens) == sorted(expected), opens
+        assert max(int(already) for _, _, already in opens) < (open_files or cli._OPEN_FILES)
+
     # sha256 of every file of this run, taken from the row-at-a-time writer
     # before the signals files were written in blocks
     SMALL_RUN = ["--example", "2", "--n", "64", "--pad", "2", "--seeds", "2", "--eps", "0.1,0"]
@@ -732,6 +775,22 @@ def _percent_17g(values) -> list[bytes]:
     return [b"%.17g" % v for v in np.asarray(values, float).tolist()]
 
 
+def _digits_and_layout(text: bytes) -> tuple:
+    """Significant digits, layout and sign of a ``"%.17g"`` text.
+
+    The layout is the exponent in fixed notation, or the exponent's sign and
+    digit count in exponent form.
+    """
+    mantissa, _, exponent = text.lstrip(b"-").partition(b"e")
+    if exponent:
+        layout = (exponent[:1], len(exponent) - 1)
+    else:
+        whole, _, fraction = mantissa.partition(b".")
+        zeros = len(fraction) - len(fraction.lstrip(b"0"))
+        layout = len(whole) - 1 if whole != b"0" else -1 - zeros
+    return len(mantissa.replace(b".", b"").strip(b"0")), layout, text.startswith(b"-")
+
+
 class TestFormatter:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
@@ -766,6 +825,30 @@ class TestFormatter:
             fields = cli._format(values)
         assert fields.shape == (3, 4, 48)
         assert _fields(values.ravel()) == _percent_17g(values.ravel())
+
+    def test_every_digit_count_in_every_layout(self):
+        # Counts 5, 9 and 13 end a value's digits at a 4-digit group's boundary.  The
+        # doubles nearest to k-digit decimals give those k digits back from "%.17g"
+        # when they lie within half a unit of the 17th digit; 40 tries a cell find
+        # each count in each layout and sign, which the last assert checks.
+        rng = np.random.default_rng(17)
+        exponents = [-279, -200, -100, -99, -60, -5, *range(-4, 17), 17, 22, 60, 99, 100, 200,
+                     279]
+        texts = []
+        for exponent in exponents:
+            for k in range(1, 18):
+                for _ in range(40):
+                    digits = "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, k - 1)]))
+                    digits = digits[:-1] + str(rng.integers(1, 10)) if k > 1 else digits
+                    texts.append(f"{digits[0]}.{digits[1:]}e{exponent}")
+        values = np.array(texts, float)
+        values = np.concatenate([values, -values])
+        expected = _percent_17g(values)
+        assert _fields(values) == expected
+        layouts = [*range(-4, 17), (b"-", 2), (b"-", 3), (b"+", 2), (b"+", 3)]
+        cells = {(k, layout, sign) for k in range(1, 18) for layout in layouts
+                 for sign in (False, True)}
+        assert cells - {_digits_and_layout(text) for text in expected} == set()
 
     def test_writer_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
         # one file of n rows, the ex2-large shape, written by this process alone;
