@@ -207,6 +207,8 @@ def _tables() -> dict[str, np.ndarray]:
         template[21:23, :, :, 42], template[23:, :, :, 41], template[22::2, :, :, 43] = 45, 43, 255
         pairs = np.frombuffer(b"".join(  # of 2 digits "ab": a, -, b, -
             b"%c\xff%c\xff" % (48 + i // 10, 48 + i % 10) for i in range(100)), np.uint32)
+        quads = np.empty((100, 100, 2), np.uint32)  # of 4 digits "abcd": pairs "ab", "cd"
+        quads[:, :, 0], quads[:, :, 1] = pairs[:, None], pairs
         sig = np.full(10000, 10)  # by 4 digits "abcd": 2 s + 2, s the digits up to the last
         sig[::10], sig[::100], sig[::1000], sig[0] = 8, 6, 4, -100  # nonzero one; see _format
         _TABLES.update(
@@ -217,7 +219,7 @@ def _tables() -> dict[str, np.ndarray]:
             exponent=np.frombuffer(b"".join(  # bytes 40..47, by exponent e + 300
                 b"\xff\xff\xff%03d\xff\xff" % abs(e) for e in range(-300, 301)), np.uint64),
             lead=pairs.take([*range(10), 1]),  # "0d" by the leading digit, and "01" for 10
-            quads=np.dstack(np.broadcast_arrays(pairs[:, None], pairs)).view(np.uint64).ravel(),
+            quads=quads.view(np.uint64).ravel(),
             sig=sig,
             pow10=np.full((4, 601), np.nan),  # filled as exponents e + 300 turn up
         )
@@ -289,15 +291,15 @@ def _format(values: np.ndarray) -> np.ndarray:
 
 
 def _write_rows(
-    lo: int, hi: int, tail: int | None, paths: list[Path], header: str,
+    lo: int, hi: int, paths: list[Path | int], header: str,
     shared: list[np.ndarray], own: list[list[np.ndarray]],
 ) -> None:
     """Write rows ``[lo, hi)`` of the signals files, opening each file once.
 
     Every file has the ``shared`` columns, formatted once per block of rows and
-    ``_OPEN_FILES`` files, and file ``f`` its ``own[f]``, formatted for several
-    at a call.  A file begun before ``lo`` gets its rows, without the header, at
-    the end of the open descriptor ``tail``, or of its file when that is None.
+    ``_OPEN_FILES`` files, and file ``f`` its ``own[f]``, formatted per block.
+    A path may be an open descriptor, which is closed after its file's last
+    row; a file begun before ``lo`` gets its rows, without the header, at its end.
     """
     n, width = len(shared[0]), len(own[0])
     step = max(1, _SIGNALS_BLOCK // max(width, 3))  # rows a formatter call takes
@@ -308,34 +310,27 @@ def _write_rows(
             for start in range(max(0, lo - last * n), min(n, hi - first * n), step):
                 stop = min(start + step, n, hi - first * n)
                 prefixes = _format(np.stack([column[start:stop] for column in shared], axis=1))
-                spans = [(f, a, b) for f in range(first, last + 1)
-                         for a, b in [(max(start, lo - f * n), min(stop, hi - f * n))] if a < b]
-                per_call = max(1, step // (stop - start))
-                for group in (spans[g:g + per_call] for g in range(0, len(spans), per_call)):
-                    fields = _format(np.concatenate(
-                        [np.stack([col[a:b] for col in own[f]], axis=1) for f, a, b in group]))
-                    # a row of fields a row of the files; a field's last byte takes its separator
-                    buf = bytearray(len(fields) * (3 + width) * 48)
-                    block = np.frombuffer(buf, np.uint8).reshape(len(fields), 3 + width, 48)
-                    block[:, :3] = np.concatenate([prefixes[a - start:b - start]
-                                                   for _, a, b in group])
+                for f in range(first, last + 1):
+                    a, b = max(start, lo - f * n), min(stop, hi - f * n)
+                    if a >= b:
+                        continue
+                    fields = _format(np.stack([column[a:b] for column in own[f]], axis=1))
+                    # a row of fields a row of the file; a field's last byte takes its separator
+                    buf = bytearray((b - a) * (3 + width) * 48)
+                    block = np.frombuffer(buf, np.uint8).reshape(b - a, 3 + width, 48)
+                    block[:, :3] = prefixes[a - start:b - start]
                     block[:, 3:] = fields
                     block[:, :, 47] = ord(",")
                     block[:, -1, 47] = ord("\n")
                     del fields  # before the text
-                    text = memoryview(buf.translate(None, b"\0"))
-                    for f, a, b in group:
-                        size = np.count_nonzero(block[:b - a])
-                        block, chunk, text = block[b - a:], text[:size], text[size:]
-                        if f not in handles:  # "w" on row 0 drops an earlier run's rows
-                            handles[f] = (open(tail, "wb", closefd=False) if tail is not None
-                                          and f * n < lo else open(paths[f], "ab" if a else "wb"))
-                            if not a:
-                                handles[f].write(header.encode())
-                        handles[f].write(chunk)
-                        if b == min(n, hi - f * n):  # its last row here
-                            handles.pop(f).close()
-                    del buf, block, text, chunk  # before the next group's
+                    if f not in handles:  # "w" on row 0 drops an earlier run's rows
+                        handles[f] = open(paths[f], "ab" if a else "wb")
+                        if not a:
+                            handles[f].write(header.encode())
+                    handles[f].write(buf.translate(None, b"\0"))
+                    del buf, block  # before the next file's
+                    if b == min(n, hi - f * n):  # its last row here
+                        handles.pop(f).close()
     finally:
         for fh in handles.values():
             fh.close()
@@ -352,12 +347,13 @@ def _write_signals(
     """Write the signals files with ``_write_rows``, which takes the same arguments.
 
     With more than one CPU on Linux, this process writes the first half of the
-    rows and a forked child the second.  The file that straddles the split gets
-    its tail from the child through an anonymous file, appended once the child
-    is done.  If the child fails, this process writes the second half itself, and
-    with no child every row, so the bytes and errors are one process's.
+    rows and a forked child the second.  The child is given an anonymous file as
+    the path of the file that straddles the split; this process appends it to
+    that file once the child is done.  If the child fails, this process writes
+    the second half itself, and with no child every row, so the bytes and
+    errors are one process's.
     """
-    args = (paths, header, shared, own)
+    args = (header, shared, own)
     n = len(shared[0])
     total = len(paths) * n
     split = total // 2
@@ -376,11 +372,13 @@ def _write_signals(
                 pass
             if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
                 try:
-                    _write_rows(split, total, tail, *args)
+                    if tail is not None:  # closed after its last row; the run keeps its own
+                        paths = [*paths[:split // n], tail, *paths[split // n + 1:]]
+                    _write_rows(split, total, paths, *args)
                     status = 0
                 finally:
                     os._exit(status)
-        _write_rows(0, split if pid else total, None, *args)  # with no child, every row
+        _write_rows(0, split if pid else total, paths, *args)  # with no child, every row
         if pid is not None:
             try:
                 status = os.waitpid(pid, 0)[1]
@@ -389,7 +387,7 @@ def _write_signals(
                 os.waitpid(pid, 0)
             pid = None
             if status:  # rewrites whole files from their first row and drops the tail
-                _write_rows(split, total, None, *args)
+                _write_rows(split, total, paths, *args)
             elif tail is not None:
                 with paths[split // n].open("r+b") as fh:  # sendfile refuses an O_APPEND target
                     fh.seek(0, os.SEEK_END)

@@ -690,10 +690,12 @@ class TestSignalsWriter:
 
     # One file of 2^14 rows on one CPU, and 3 files of 2048 rows on two, split in
     # the middle file: every file spans many formatter calls.  With _OPEN_FILES = 1
-    # a process has one file open at a time.
+    # a process has one file open at a time.  5 files of 8 rows on two, split in
+    # file 2: one block of rows holds several files.
     @polls_children
-    @pytest.mark.parametrize("cpus, files, n, open_files",
-                             [(1, 1, 2**14, None), (2, 3, 2048, None), (2, 3, 2048, 1)])
+    @pytest.mark.parametrize("cpus, files, n, open_files", [
+        (1, 1, 2**14, None), (2, 3, 2048, None), (2, 3, 2048, 1), (2, 5, 8, None),
+    ])
     def test_each_file_is_opened_once_per_process(self, tmp_path, monkeypatch, cpus, files, n,
                                                   open_files):
         log, handles = tmp_path / "opens", []
@@ -869,6 +871,27 @@ class TestFormatter:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 8 * 1024, peaks
         assert max(peaks) <= 2**20, peaks
+
+    def test_writer_memory_does_not_grow_with_the_files(self, tmp_path, monkeypatch):
+        # files of 256 rows, the ex1-sweep shape, written by this process alone: a file
+        # is opened at its first row and closed after its last, so the up to 32 files
+        # of a group, each with its own write buffer, are never open at once
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        cli._tables()
+        n, peaks = 256, []
+        rng = np.random.default_rng(n)
+        shared = [np.arange(n) * (10 / n), rng.normal(size=n), rng.normal(size=n)]
+        for files in (4, 64):
+            own = [[rng.normal(size=n) for _ in range(5)] for _ in range(files)]
+            paths = [tmp_path / f"{files}_{f}.csv" for f in range(files)]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                cli._write_signals(paths, "h\n", shared, own)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
 
 # every system call the signals writer makes
