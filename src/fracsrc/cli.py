@@ -19,8 +19,8 @@ norm) or the run does not fit in memory.  :class:`ExperimentConfig` checks the
 settings; :func:`run_experiment` checks the run's data before any noise or file
 with the sweep's own ``pipeline._measure`` (medium, grid, source norm) and
 ``pipeline._score`` (the least-noise row and the loudest level's expected row).
-With more than one CPU, a forked child writes the second half of the signals
-rows; if it fails, or there is no child (the fork failing too), the run writes
+With more than one CPU, a forked child writes the signals rows from one past
+the middle; if it fails, or there is no child (the fork failing too), the run writes
 them.  Both processes format the signals floats with NumPy into the bytes of
 ``"%.17g"``, and hand to ``"%.17g"`` itself the values they cannot place: zeros,
 magnitudes outside [1e-280, 1e280], and near-ties at the 17th digit.
@@ -119,13 +119,17 @@ class ExperimentConfig:
                     and self.pad_factor & (self.pad_factor - 1) == 0):  # then n * pad is one too
                 raise ConfigError(
                     f"pad factor must be a power of two >= 1, got {self.pad_factor!r}")
-            samples = self.grid().n  # checks n and t_max
+            TimeGrid(self.n, self.t_max)  # as typed; pad scales n to a power of two >= 8 too
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        samples = self.n * self.pad_factor
         if samples * 16 > sys.maxsize:  # bytes of one complex array on the grid
             raise ConfigError(
                 f"n and pad: a grid of n * pad = {samples} samples is too large for any array"
             )
+        if math.isinf(self.t_max * self.pad_factor):  # pad < 2**63 here, so a float
+            raise ConfigError(f"t_max and pad: the padded window t_max * pad overflows, "
+                              f"got t_max = {self.t_max!r} and pad = {self.pad_factor}")
 
     def grid(self) -> TimeGrid:
         """Sampling grid, window and sample count scaled by the pad factor."""
@@ -298,8 +302,8 @@ def _write_rows(
 
     Every file has the ``shared`` columns, formatted once per block of rows and
     ``_OPEN_FILES`` files, and file ``f`` its ``own[f]``, formatted per block.
-    A path may be an open descriptor, which is closed after its file's last
-    row; a file begun before ``lo`` gets its rows, without the header, at its end.
+    A path may be an open descriptor, which is closed after its file's last row;
+    only such a file may begin before ``lo``, and it gets no header (a name opens "wb").
     """
     n, width = len(shared[0]), len(own[0])
     step = max(1, _SIGNALS_BLOCK // max(width, 3))  # rows a formatter call takes
@@ -323,8 +327,8 @@ def _write_rows(
                     block[:, :, 47] = ord(",")
                     block[:, -1, 47] = ord("\n")
                     del fields  # before the text
-                    if f not in handles:  # "w" on row 0 drops an earlier run's rows
-                        handles[f] = open(paths[f], "ab" if a else "wb")
+                    if f not in handles:  # "w" drops an earlier run's rows
+                        handles[f] = open(paths[f], "wb")
                         if not a:
                             handles[f].write(header.encode())
                     handles[f].write(buf.translate(None, b"\0"))
@@ -341,29 +345,49 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _reap(pid: int, stop: bool) -> int:
+    """Reap the forked child ``pid``, killed first if ``stop``: its wait status, 0 on success.
+
+    A child the kernel has reaped already (it does when SIGCHLD is ignored) is
+    not an error.  Its status is lost, as is a killed child's, and a wait that
+    fails kills the child; a lost status is 1, a failed child's.
+    """
+    try:
+        if stop:
+            os.kill(pid, 9)  # SIGKILL, without importing signal (4-12 kB of peak RSS)
+        status = os.waitpid(pid, 0)[1]
+        return 1 if stop else status
+    except (ChildProcessError, ProcessLookupError):  # ECHILD, ESRCH: it is gone
+        return 1
+    except OSError:  # the wait failed, and the status with it: stop the child
+        if stop:
+            raise
+        return _reap(pid, stop=True)
+
+
 def _write_signals(
     paths: list[Path], header: str, shared: list[np.ndarray], own: list[list[np.ndarray]]
 ) -> None:
     """Write the signals files with ``_write_rows``, which takes the same arguments.
 
-    With more than one CPU on Linux, this process writes the first half of the
-    rows and a forked child the second.  The child is given an anonymous file as
-    the path of the file that straddles the split; this process appends it to
-    that file once the child is done.  If the child fails, this process writes
-    the second half itself, and with no child every row, so the bytes and
-    errors are one process's.
+    With more than one CPU on Linux, a forked child writes the rows from one past
+    the middle, always inside a file, and this process the rows before.  The child
+    is given an anonymous file as that file's path; this process appends it to
+    the file once the child is done.  If the child fails, this process rewrites
+    its rows from that file's first row, and with no child it writes every row,
+    so the bytes and errors are one process's.
     """
     args = (header, shared, own)
     n = len(shared[0])
     total = len(paths) * n
-    split = total // 2
+    split = total // 2 + 1  # n / 2 divides total // 2, so split % n is 1 or n / 2 + 1
     tail = pid = None
     status = 1  # until a child has written rows [split, total)
     _tables()  # before the fork, so a child inherits the tables
     try:
         if sys.platform == "linux" and _cpu_count() > 1:  # fork, memfd_create, sendfile to a file
             try:  # either failing leaves no child, and this process writes every row
-                tail = os.memfd_create("signals-tail") if split % n else None
+                tail = os.memfd_create("signals-tail")
                 with warnings.catch_warnings():
                     # numpy's BLAS threads make Python >= 3.12 warn; the child calls none
                     warnings.simplefilter("ignore", DeprecationWarning)
@@ -371,24 +395,19 @@ def _write_signals(
             except OSError:
                 pass
             if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
-                try:
-                    if tail is not None:  # closed after its last row; the run keeps its own
-                        paths = [*paths[:split // n], tail, *paths[split // n + 1:]]
+                try:  # the tail is closed after its last row; the run keeps its own
+                    paths = [*paths[:split // n], tail, *paths[split // n + 1:]]
                     _write_rows(split, total, paths, *args)
                     status = 0
                 finally:
                     os._exit(status)
         _write_rows(0, split if pid else total, paths, *args)  # with no child, every row
         if pid is not None:
-            try:
-                status = os.waitpid(pid, 0)[1]
-            except OSError:  # the child's status is lost: stop it, and write its rows here
-                os.kill(pid, 9)
-                os.waitpid(pid, 0)
+            status = _reap(pid, stop=False)
             pid = None
             if status:  # rewrites whole files from their first row and drops the tail
-                _write_rows(split, total, paths, *args)
-            elif tail is not None:
+                _write_rows(split - split % n, total, paths, *args)
+            else:
                 with paths[split // n].open("r+b") as fh:  # sendfile refuses an O_APPEND target
                     fh.seek(0, os.SEEK_END)
                     offset, size = 0, os.fstat(tail).st_size
@@ -396,8 +415,7 @@ def _write_signals(
                         offset += os.sendfile(fh.fileno(), tail, offset, size - offset)
     finally:
         if pid:  # this process failed while the child runs
-            os.kill(pid, 9)  # SIGKILL: importing signal would add 0.17 MB to the peak RSS
-            os.waitpid(pid, 0)
+            _reap(pid, stop=True)
         if tail is not None:
             os.close(tail)
 
@@ -641,12 +659,20 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     labels = list(report.summary[0])[1:]
-    print("seed-averaged relative errors")
-    print("  ".join(["epsilon".rjust(10)] + [label.rjust(10) for label in labels]))
-    for entry in report.summary:
-        cells = [f"{entry['epsilon']:>10.3g}"] + [f"{entry[label]:>10.4f}" for label in labels]
-        print("  ".join(cells))
-    print(f"wrote {len(report.files)} files to {cfg.out_dir}")
+    try:
+        print("seed-averaged relative errors")
+        print("  ".join(["epsilon".rjust(10)] + [label.rjust(10) for label in labels]))
+        for entry in report.summary:
+            cells = [f"{entry[label]:>10.4f}" for label in labels]
+            print("  ".join([f"{entry['epsilon']:>10.3g}", *cells]))
+        print(f"wrote {len(report.files)} files to {cfg.out_dir}", flush=True)
+    except OSError as exc:  # such as a closed pipe or a full disk
+        # Python flushes stdout again at exit: send what is left to devnull (signal's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: stdout: cannot write the summary: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -260,6 +261,16 @@ class TestMainExitCodes:
              "error: eps: noise level 1e+300 is too large to score: delta must be"),
             # n * pad would be a power of two only by chance: pad is named, not n
             (["--pad", "3"], None, 2, "error: pad factor must be a power of two"),
+            # n and t_max are checked as typed, before pad scales them
+            (["--n", "12", "--pad", "2"], None, 2,
+             "error: n must be a power of two >= 8, got 12\n"),
+            (["--n", "4", "--pad", "2"], None, 2,
+             "error: n must be a power of two >= 8, got 4\n"),
+            (["--t-max", "-1", "--pad", "2"], None, 2, "error: t_max must be a positive finite "
+             "real with a nonzero step t_max / n, got -1.0\n"),
+            (["--t-max", "1e308", "--pad", "4"], None, 2, "error: t_max and pad: the padded "
+             "window t_max * pad overflows, got t_max = 1e+308 and pad = 4\n"),
+            (["--pad", str(2**1100)], None, 2, "error: n and pad:"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
@@ -397,6 +408,44 @@ class TestMainExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert (tmp_path / "errors.csv").exists()
+
+    # The read end is closed before the run starts, so the summary meets a broken
+    # pipe, written through at once or, buffered, flushed at the end of main.
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_pipe_exits_two_with_one_line(self, tmp_path, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fracsrc", "run", "--example", "1", "--n", "8",
+                 "--eps", "0.1", "--seeds", "1", "--out", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: stdout: cannot write the summary: [Errno 32] Broken pipe\n")
+
+    def test_full_stdout_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys):
+        class Full(io.TextIOWrapper):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with Full(open(tmp_path / "stdout", "wb")) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["run", "--example", "1", "--n", "8", "--eps", "0.1", "--seeds", "1",
+                         "--out", str(tmp_path / "out")])
+            # what is left is flushed to devnull, as Python flushes stdout at exit
+            stdout.buffer.write(b"unflushed")
+            stdout.flush()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stdout: cannot write the summary: [Errno 28] No space left on device\n")
+        assert (tmp_path / "stdout").read_bytes() == b""
 
 
 class TestRunExperiment:
@@ -549,8 +598,9 @@ class TestSignalsWriter:
         assert "%.17g" % x == f"{x:.17g}"
 
     # 8192 rows a file: several blocks at the module's block size (None), and a
-    # ragged last block at 3000.  Two CPUs split the rows at a file boundary (4
-    # cells), inside a file and a block (3 cells), and inside the one file (1 cell).
+    # ragged last block at 3000.  Two CPUs split the rows one row into a file, just
+    # past a file boundary (4 cells: file 2), inside a file and a block (3 cells),
+    # and inside the one file (1 cell).
     @pytest.mark.parametrize("block", [None, 3000])
     @pytest.mark.parametrize(
         "eps_list, seed_ids",
@@ -581,8 +631,8 @@ class TestSignalsWriter:
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         return main(["run", *argv])
 
-    # 6 cells of 8 rows split at a file boundary, 3 cells of 128 inside a file,
-    # and one file of 16384 rows inside a block
+    # 6 cells of 8 rows split one row into file 3, just past a file boundary,
+    # 3 cells of 128 inside a file, and one file of 16384 rows inside a block
     @pytest.mark.parametrize("run", [
         ["--example", "1", "--n", "8", "--eps", "0.1,0.01", "--seeds", "3"],
         ["--example", "2", "--n", "64", "--pad", "2", "--seeds", "3", "--eps", "0.1,0"],
@@ -635,6 +685,32 @@ class TestSignalsWriter:
         assert errors[0].startswith(f"error: out: cannot write to {out}: [Errno 21]")
         assert squatted in errors[0] and errors[0].count("\n") == 1
 
+    # With SIGCHLD ignored, a setting a process inherits across exec, the kernel
+    # reaps the child itself: its status is lost, and the run rewrites its rows.
+    @polls_children
+    @pytest.mark.parametrize("squatted", [None, "signals_0.1_0.csv", "signals_0.1_2.csv"])
+    def test_child_reaped_by_the_kernel_is_a_failed_child(self, tmp_path, monkeypatch, capsys,
+                                                          squatted):
+        results = []
+        for cpus in (2, 1):
+            out = tmp_path / str(cpus)
+            if squatted:
+                (out / squatted).mkdir(parents=True)
+            handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            try:
+                code = self.run_on(cpus, monkeypatch, [*self.THREE_FILES, "--out", str(out)])
+            finally:
+                signal.signal(signal.SIGCHLD, handler)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            err = capsys.readouterr().err.replace(str(out), "OUT")
+            files = None if squatted else {path.name: path.read_bytes() for path in out.iterdir()}
+            results.append((code, err, files))
+        assert results[0] == results[1], results
+        assert results[0][0] == (2 if squatted else 0)
+        if squatted:
+            assert results[0][1].startswith("error: out: cannot write to OUT: [Errno 21]")
+
     @polls_children
     @pytest.mark.parametrize("failure, code, message", [
         (MemoryError, 3, "guard failure: out of memory on a grid of 8 samples\n"),
@@ -659,6 +735,8 @@ class TestSignalsWriter:
     # The child writes the first rows of its half, then fails; the run writes
     # the child's rows itself.  The failure is injected in the child only: the
     # run's own rewrite calls the same _write_rows, inside this test process.
+    # 3 cells of 8 rows split in the middle of file 1, and 4 cells one row into
+    # file 2, just past a file boundary.
     @pytest.mark.parametrize("failure", [
         MemoryError,
         lambda: OSError(28, "No space left on device"),

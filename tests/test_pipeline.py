@@ -421,6 +421,48 @@ class TestSweep:
                 y = synthesize_data(square, EX1)
                 run_cell(square, y, EX1, 1.0, 0.1, 0, 7, ("R1",), 1.0)
 
+    def test_theory_bound_recomputed_from_the_formulas(self):
+        # Each filtered row's bound from the paper's formulas with NumPy alone:
+        # K max(r^(2/(p+2)), r^(p/(p+2)), r^((p-2)/(p+2))), r = delta / delta_max,
+        # K = c_bound + delta_max M_i, M_i = 2 (nu + n_i(alpha)) max(1, 1/N), and
+        # c_bound the source's H^p norm under the scaling dt / sqrt(2 pi) * FFT.
+        def peak(label, a):  # n_i(alpha)
+            if label == "r1":
+                return (2 - a) / 2 * (a / (2 - a)) ** (a / 2)
+            if label == "r2":
+                return (4 - a) / 4 * (a / (4 - a)) ** (a / 4)
+            return (2 * a) ** (a / 2) / np.exp(a / 2)
+
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        for trial in range(32):  # media log-uniform over two decades a coefficient
+            params = MediumParams(
+                omega=10 ** rng.uniform(-2, 0), beta=10 ** rng.uniform(-2, 0),
+                nu=10 ** rng.uniform(-1, 1), alpha=rng.uniform(0.05, 1.0),
+                x0=10 ** rng.uniform(-1, 1),
+            )
+            pad = int(rng.choice([1, 2]))
+            grid = TimeGrid(int(rng.choice([64, 256, 1024])) * pad, 10.0 * pad)
+            p = rng.uniform(0.25, 4.0)
+            f = preset_source(("square", "exp")[trial % 2], grid)
+            cells = run_sweep(f, params, p, (0.1, 0.01, 0.0), (0, 1), FILTER_LABELS, trial)
+            xi = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dt)
+            coeffs = grid.dt / np.sqrt(2 * np.pi) * np.fft.fft(f.samples)
+            c_bound = np.sqrt(2 * np.pi / grid.t_max * np.sum((1 + xi * xi) ** p
+                                                              * np.abs(coeffs) ** 2))
+            cap_n = params.x0 / (2 * params.omega) * (
+                -params.beta + np.sqrt(params.beta ** 2 + 4 * params.omega * params.nu))
+            norm = np.sqrt(grid.dt * np.sum(f.samples ** 2))
+            for row in (row for cell in cells for row in cell.rows):
+                m = 2 * (params.nu + peak(row.filter, params.alpha)) * max(1.0, 1.0 / cap_n)
+                r = row.delta / row.delta_max
+                bound = (c_bound + row.delta_max * m) * max(
+                    r ** (2 / (p + 2)), r ** (p / (p + 2)), r ** ((p - 2) / (p + 2)))
+                assert row.theory_bound == pytest.approx(bound, rel=1e-12, abs=0), row
+                assert row.rel_err * norm <= row.theory_bound, row
+                checked += 1
+        assert checked == 32 * 3 * 2 * 3
+
     def test_cell_seeds_are_distinct(self):
         seeds = {cell_seed(9, i, j) for i in range(5) for j in range(20)}
         assert len(seeds) == 100
