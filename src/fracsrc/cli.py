@@ -20,10 +20,11 @@ settings; :func:`run_experiment` checks the run's data before any noise or file
 with the sweep's own ``pipeline._measure`` (medium, grid, source norm) and
 ``pipeline._score`` (the least-noise row and the loudest level's expected row).
 With more than one CPU, a forked child writes the signals rows from one past
-the middle; if it fails, or there is no child (the fork failing too), the run writes
-them.  Both processes format the signals floats with NumPy into the bytes of
-``"%.17g"``, and hand to ``"%.17g"`` itself the values they cannot place: zeros,
-magnitudes outside [1e-280, 1e280], and near-ties at the 17th digit.
+the middle and then a completion mark; without the mark, or with no child (the
+fork failing too), the run writes them.  Both processes format the signals
+floats with NumPy into the bytes of ``"%.17g"``, and hand to ``"%.17g"`` itself
+the values they cannot place: zeros, magnitudes outside [1e-280, 1e280], and
+near-ties at the 17th digit.
 """
 
 from __future__ import annotations
@@ -164,8 +165,10 @@ def preset_source(preset_id: str, grid: TimeGrid) -> RealSignal:
         inside = (0.0 <= times) & (times <= 10.0)
         return RealSignal(grid, np.where(low, -1.0, np.where(inside, 1.0, 0.0)))
     if preset_id == "exp":
-        # math.exp, not np.exp: the two differ in the last bit on some samples
-        decay = np.fromiter(map(math.exp, np.negative(times)), float, grid.n)
+        # math.exp, not np.exp: the two differ in the last bit on some samples.  A
+        # memoryview yields Python floats, which math.exp takes faster than NumPy
+        # scalars, and builds no n-long list.
+        decay = np.fromiter(map(math.exp, memoryview(np.negative(times))), float, grid.n)
         decay *= 6.51
         return RealSignal(grid, np.where((0.0 <= times) & (times <= 10.0), decay, 0.0))
     raise ConfigError(f"unknown source preset {preset_id!r}")
@@ -345,24 +348,22 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _reap(pid: int, stop: bool) -> int:
-    """Reap the forked child ``pid``, killed first if ``stop``: its wait status, 0 on success.
+def _reap(pid: int, stop: bool) -> None:
+    """Wait until the forked child ``pid`` has ended, killing it first if ``stop``.
 
     A child the kernel has reaped already (it does when SIGCHLD is ignored) is
-    not an error.  Its status is lost, as is a killed child's, and a wait that
-    fails kills the child; a lost status is 1, a failed child's.
+    not an error, and a wait that fails kills the child.
     """
     try:
         if stop:
             os.kill(pid, 9)  # SIGKILL, without importing signal (4-12 kB of peak RSS)
-        status = os.waitpid(pid, 0)[1]
-        return 1 if stop else status
+        os.waitpid(pid, 0)
     except (ChildProcessError, ProcessLookupError):  # ECHILD, ESRCH: it is gone
-        return 1
-    except OSError:  # the wait failed, and the status with it: stop the child
+        pass
+    except OSError:  # the wait failed: stop the child
         if stop:
             raise
-        return _reap(pid, stop=True)
+        _reap(pid, stop=True)
 
 
 def _write_signals(
@@ -372,17 +373,18 @@ def _write_signals(
 
     With more than one CPU on Linux, a forked child writes the rows from one past
     the middle, always inside a file, and this process the rows before.  The child
-    is given an anonymous file as that file's path; this process appends it to
-    the file once the child is done.  If the child fails, this process rewrites
-    its rows from that file's first row, and with no child it writes every row,
-    so the bytes and errors are one process's.
+    is given an anonymous file as that file's path, and once it has written its
+    last row it appends a NUL, which no row holds, to that file: a mark that a
+    lost exit status (SIGCHLD ignored) does not lose.  This process appends the
+    anonymous file less the mark to the file once the child is done.  Without the
+    mark it rewrites the child's rows from that file's first row, and with no
+    child it writes every row, so the bytes and errors are one process's.
     """
     args = (header, shared, own)
     n = len(shared[0])
     total = len(paths) * n
     split = total // 2 + 1  # n / 2 divides total // 2, so split % n is 1 or n / 2 + 1
     tail = pid = None
-    status = 1  # until a child has written rows [split, total)
     _tables()  # before the fork, so a child inherits the tables
     try:
         if sys.platform == "linux" and _cpu_count() > 1:  # fork, memfd_create, sendfile to a file
@@ -395,22 +397,25 @@ def _write_signals(
             except OSError:
                 pass
             if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
-                try:  # the tail is closed after its last row; the run keeps its own
-                    paths = [*paths[:split // n], tail, *paths[split // n + 1:]]
+                status = 1
+                try:  # the copy is closed after its last row; the mark goes to the same file
+                    paths = [*paths[:split // n], os.dup(tail), *paths[split // n + 1:]]
                     _write_rows(split, total, paths, *args)
+                    os.write(tail, b"\0")
                     status = 0
                 finally:
                     os._exit(status)
         _write_rows(0, split if pid else total, paths, *args)  # with no child, every row
         if pid is not None:
-            status = _reap(pid, stop=False)
+            _reap(pid, stop=False)
             pid = None
-            if status:  # rewrites whole files from their first row and drops the tail
+            size = os.fstat(tail).st_size - 1  # the child's rows, then its mark
+            if size < 0 or os.pread(tail, 1, size) != b"\0":  # rewrites whole files, no tail
                 _write_rows(split - split % n, total, paths, *args)
             else:
                 with paths[split // n].open("r+b") as fh:  # sendfile refuses an O_APPEND target
                     fh.seek(0, os.SEEK_END)
-                    offset, size = 0, os.fstat(tail).st_size
+                    offset = 0
                     while offset < size:
                         offset += os.sendfile(fh.fileno(), tail, offset, size - offset)
     finally:

@@ -3,10 +3,14 @@
 A cell of the experiment sweep is one noise level and one seed.  Within a
 cell the same noisy measurement is inverted several ways (plain inverse
 multiplier plus the selected filters) so that per-seed comparisons are
-paired.  Noise streams come from ``numpy.random.default_rng`` (PCG64) seeded
-with an integer derived deterministically from ``(master_seed, noise-level
-index, seed identifier)`` via ``numpy.random.SeedSequence``; results are
-therefore bit-reproducible regardless of execution order.
+paired.  A cell's noise stream is ``numpy.random.default_rng(seed)`` (PCG64)
+with ``seed = cell_seed(master_seed, noise-level index, seed identifier)``,
+a ``numpy.random.SeedSequence`` hash; results are therefore bit-reproducible
+regardless of execution order.  The sweep derives every cell's seed and PCG64
+state in one NumPy pass of that hash (``_cell_seeds``, ``_pcg_states``), whose
+algorithm NumPy's RNG policy (NEP 19) fixes, and draws every row from one
+generator set to each state in turn; ``cell_seed`` and ``default_rng`` stay
+the reference it is tested against.
 
 The sweep scores a noise level as arrays, a row per cell: one stack of noisy
 measurements, one forward transform, then per estimator one gain table and
@@ -26,12 +30,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .regularize import FilterKind, RegParams, attenuation, choose_mu, error_bound
+from .regularize import FilterKind, RegParams, attenuation, choose_mu, const_m
 from .spectral import (
     RealSignal,
     Spectrum,
@@ -70,6 +75,14 @@ ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
 # the three, attenuates the extreme bin of a 256-point window on [0, 10] by
 # less than 1e-5, so the regularized path agrees with the exact inversion.
 DELTA_FLOOR = 1e-20
+
+# numpy.random.SeedSequence's hash (NEP 19 keeps it stable): a pool of four
+# 32-bit words, and the multipliers of its hashmix, mix and output steps
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -220,6 +233,104 @@ def cell_seed(master_seed: int, eps_index: int, seed_id: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
+def _words(value: int) -> list[int]:
+    """A nonnegative integer's 32-bit words, least significant first, as SeedSequence splits it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _multipliers(first: int, factor: int):
+    """Pairs of successive multipliers of a SeedSequence hash: ``first * factor**k`` mod 2**32."""
+    old = first
+    while True:
+        new = old * factor & 0xFFFFFFFF
+        yield old, new
+        old = new
+
+
+def _scramble(value: np.ndarray, multipliers) -> np.ndarray:
+    """One hash step on uint32 words, which wrap as SeedSequence's C does."""
+    old, new = next(multipliers)
+    value = (value ^ old) * new
+    return value ^ value >> 16
+
+
+def _hash(entropies: list[list[int]], n_words: int) -> list[list[int]]:
+    """``SeedSequence(words).generate_state(n_words)`` of each list of 32-bit ``words``.
+
+    The lists of one length are hashed together, a column each.  Zeros pad a
+    list shorter than the pool, as SeedSequence pads a short entropy.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, words in enumerate(entropies):
+        by_length.setdefault(max(len(words), _POOL), []).append(i)
+    out: list[list[int]] = [[]] * len(entropies)
+    for length, group in by_length.items():
+        entropy = np.array([entropies[i] + [0] * (length - len(entropies[i])) for i in group],
+                           np.uint32).T
+        mixing = _multipliers(_INIT_A, _MULT_A)  # the same for every column
+        pool = [_scramble(word, mixing) for word in entropy[:_POOL]]
+
+        def mix(dst, word):
+            value = pool[dst] * _MIX_L - word * _MIX_R
+            pool[dst] = value ^ value >> 16
+
+        for src in range(_POOL):  # every pool word into every other
+            for dst in range(_POOL):
+                if src != dst:
+                    mix(dst, _scramble(pool[src], mixing))
+        for word in entropy[_POOL:]:  # then each word past the pool into every pool word
+            for dst in range(_POOL):
+                mix(dst, _scramble(word, mixing))
+        output = _multipliers(_INIT_B, _MULT_B)
+        state = [_scramble(pool[k % _POOL], output) for k in range(n_words)]
+        for i, words in zip(group, np.array(state).T.tolist()):
+            out[i] = words
+    return out
+
+
+def _cell_seeds(master_seed: int, levels: int, seed_ids: tuple[int, ...]) -> list[int]:
+    """``cell_seed(master_seed, i_eps, seed_id)`` for every level index and seed id, level-major.
+
+    The entropy is the master seed's words, zero-padded to the pool because a
+    spawn key follows, then the key's words.
+    """
+    prefix = _words(master_seed)
+    prefix += [0] * (_POOL - len(prefix))
+    entropies = [prefix + _words(i_eps) + _words(seed_id)
+                 for i_eps in range(levels) for seed_id in seed_ids]
+    return [lo | hi << 32 for lo, hi in _hash(entropies, 2)]
+
+
+def _pcg_states(seeds: list[int]) -> list[dict]:
+    """``numpy.random.default_rng(seed).bit_generator.state`` for each seed.
+
+    ``PCG64`` takes four 64-bit words of the seed's hash: ``initstate`` and
+    ``initseq`` of PCG's ``srandom``, which sets ``inc = 2 initseq + 1`` and
+    steps the LCG from 0 twice, adding ``initstate`` in between.
+    """
+    states = []
+    for w in _hash([_words(seed) for seed in seeds], 8):
+        initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _draw(rng: np.random.Generator, state: dict, sigma: float, n: int) -> np.ndarray:
+    """``add_noise``'s draw for the seed whose ``default_rng`` has ``state``, from ``rng``."""
+    rng.bit_generator.state = state
+    return rng.normal(0.0, sigma, n)
+
+
 def _check_filters(filters: tuple[str, ...]) -> None:
     """Raise ValueError naming the first label that is not an estimator."""
     for label in filters:
@@ -241,29 +352,46 @@ def _score(
     grid: TimeGrid, noise_sq: list[float] | np.ndarray, p: float, filters: tuple[str, ...],
     c_bound: float, params: MediumParams,
 ) -> tuple[list, list, list, dict[FilterKind, list]]:
-    """Each row's ``delta``, ``delta_max``, ``mu`` and bound per kind, from its ``sum(eta^2)``."""
-    delta = np.maximum(np.sqrt(grid.dt * np.asarray(noise_sq)), DELTA_FLOOR).tolist()
-    delta_max = [delta_max_rule(d) for d in delta]
+    """Each row's ``delta``, ``delta_max``, ``mu`` and bound per kind, from its ``sum(eta^2)``.
+
+    The values and errors are those of ``delta_max_rule``, ``choose_mu``,
+    ``RegParams`` and ``error_bound`` row by row: ``mu`` and the checks are
+    theirs, and the bounds take ``error_bound``'s IEEE operations in its order.
+    """
+    delta = np.maximum(np.sqrt(grid.dt * np.asarray(noise_sq)), DELTA_FLOOR)
+    delta_max = 1.0 + delta
+    if not np.isfinite(delta_max).all():
+        delta_max_rule(float(delta[~np.isfinite(delta_max)][0]))  # raises its error
     kinds = [kind for kind in FilterKind if kind.value in filters]
-    mu = [choose_mu(d, d_max, p) for d, d_max in zip(delta, delta_max)] if kinds else []
-    bounds = {kind: [] for kind in kinds}
-    for m, d, d_max in zip(mu, delta, delta_max):
-        reg = RegParams(m, p, d, d_max)
-        for kind in kinds:
-            bounds[kind].append(error_bound(kind, c_bound, reg, params))
-    return delta, delta_max, mu, bounds
+    deltas, delta_maxes = delta.tolist(), delta_max.tolist()
+    if not kinds:
+        return deltas, delta_maxes, [], {}
+    mu = [choose_mu(d, d_max, p) for d, d_max in zip(deltas, delta_maxes)]
+    for row, (m, d, d_max) in enumerate(zip(mu, deltas, delta_maxes)):
+        RegParams(m, p, d, d_max)  # its checks; error_bound's on c_bound follows the first
+        if not row and not (c_bound > 0.0 and math.isfinite(c_bound)):
+            raise ValueError(f"c_bound must be a positive finite real, got {c_bound!r}")
+    exponents = (2.0 / (p + 2.0), p / (p + 2.0), (p - 2.0) / (p + 2.0))
+    max_term = np.array([max(r ** e for e in exponents) for r in (delta / delta_max).tolist()])
+    bounds = {kind: ((c_bound + delta_max * const_m(kind, params.alpha, params)) * max_term)
+              .tolist() for kind in kinds}
+    return deltas, delta_maxes, mu, bounds
 
 
 def _run_cells(
     f_true: RealSignal, y: RealSignal, params: MediumParams, p: float, epsilon: float,
-    seeds: list[tuple[int, int]], filters: tuple[str, ...], c_bound: float,
+    seeds: list[tuple[int, int, dict]], filters: tuple[str, ...], c_bound: float,
+    rng: np.random.Generator,
 ) -> list[CellResult]:
-    """Score one noise level's cells, given as ``(seed id, rng seed)`` pairs, as one stack."""
+    """Score one noise level's cells as one stack, each row drawn from ``rng``.
+
+    ``seeds`` holds each cell's ``(seed id, rng seed, default_rng(rng seed)'s state)``.
+    """
     _check_filters(filters)
     NoiseSpec(epsilon, 0)  # checks the level; each row draws it as add_noise does
     stack = np.zeros((len(seeds), y.grid.n))  # the noise, then y_noisy
-    for row, (_, rng_seed) in zip(stack, seeds):
-        row[:] = np.random.default_rng(rng_seed).normal(0.0, epsilon, y.grid.n)
+    for row, (_, _, state) in zip(stack, seeds):
+        row[:] = _draw(rng, state, epsilon, y.grid.n)
     noise_sq = np.sum(stack * stack, axis=-1)
     stack += y.samples
     y_noisy = RealSignal(y.grid, stack)
@@ -289,7 +417,7 @@ def _run_cells(
                 for label, (_, mu, rel_err, bound) in columns.items()
             ),
         )
-        for i, (seed_id, rng_seed) in enumerate(seeds)
+        for i, (seed_id, rng_seed, _) in enumerate(seeds)
     ]
 
 
@@ -311,7 +439,9 @@ def run_cell(
     a bound on the absolute L2 error with ``c_bound`` standing in for the
     source's Sobolev norm.  This is the sweep's scoring code on a one-cell stack.
     """
-    return _run_cells(f_true, y, params, p, epsilon, [(seed_id, rng_seed)], filters, c_bound)[0]
+    seeds = [(seed_id, rng_seed, _pcg_states([rng_seed])[0])]
+    rng = np.random.default_rng(0)  # its state is set before the draw
+    return _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound, rng)[0]
 
 
 def run_sweep(
@@ -339,8 +469,12 @@ def _sweep(
     master_seed: int, c_bound: float,
 ) -> list[CellResult]:
     """``run_sweep`` with the measurement ``y`` and the source's Sobolev norm ``c_bound`` given."""
+    rng_seeds = _cell_seeds(master_seed, len(eps_list), seed_ids)
+    states = _pcg_states(rng_seeds)
+    rng = np.random.default_rng(0)  # its state is set before each row's draw
     cells = []
     for i_eps, epsilon in enumerate(eps_list):
-        seeds = [(seed_id, cell_seed(master_seed, i_eps, seed_id)) for seed_id in seed_ids]
-        cells += _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound)
+        first = i_eps * len(seed_ids)
+        seeds = list(zip(seed_ids, rng_seeds[first:], states[first:]))
+        cells += _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound, rng)
     return cells

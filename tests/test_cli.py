@@ -686,7 +686,8 @@ class TestSignalsWriter:
         assert squatted in errors[0] and errors[0].count("\n") == 1
 
     # With SIGCHLD ignored, a setting a process inherits across exec, the kernel
-    # reaps the child itself: its status is lost, and the run rewrites its rows.
+    # reaps the child itself and its status is lost: the run keeps the child's
+    # rows by its mark, or writes them where the child failed on a squatted file.
     @polls_children
     @pytest.mark.parametrize("squatted", [None, "signals_0.1_0.csv", "signals_0.1_2.csv"])
     def test_child_reaped_by_the_kernel_is_a_failed_child(self, tmp_path, monkeypatch, capsys,
@@ -710,6 +711,37 @@ class TestSignalsWriter:
         assert results[0][0] == (2 if squatted else 0)
         if squatted:
             assert results[0][1].startswith("error: out: cannot write to OUT: [Errno 21]")
+
+    # The child's mark survives a lost status: the run writes no row from the
+    # split on, once mid-file (3 cells of 8 rows) and once one row into a file
+    # (4 cells of 8 rows).
+    @polls_children
+    @pytest.mark.parametrize("run, split", [
+        (THREE_FILES, 13),
+        (["--example", "1", "--n", "8", "--eps", "0.1,0.01", "--seeds", "2"], 17),
+    ], ids=["mid-file", "file-boundary"])
+    def test_child_reaped_by_the_kernel_keeps_its_rows(self, tmp_path, monkeypatch, run, split):
+        real, test_pid, calls = cli._write_rows, os.getpid(), []
+
+        def logged(lo, hi, *args):
+            if os.getpid() == test_pid:
+                calls.append((lo, hi))
+            return real(lo, hi, *args)
+
+        monkeypatch.setattr(cli, "_write_rows", logged)
+        written = []
+        for cpus in (2, 1):
+            calls.clear()
+            out = tmp_path / str(cpus)
+            handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            try:
+                assert self.run_on(cpus, monkeypatch, [*run, "--out", str(out)]) == 0
+            finally:
+                signal.signal(signal.SIGCHLD, handler)
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+            if cpus == 2:
+                assert calls == [(0, split)]
+        assert written[0] == written[1]
 
     @polls_children
     @pytest.mark.parametrize("failure, code, message", [
@@ -973,7 +1005,8 @@ class TestFormatter:
 
 
 # every system call the signals writer makes
-_WRITER_CALLS = ("mkdir", "open", "write", "memfd_create", "fork", "waitpid", "sendfile", "fstat")
+_WRITER_CALLS = ("mkdir", "open", "write", "memfd_create", "fork", "waitpid", "sendfile", "fstat",
+                 "pread")
 _FAULTS = {
     **{name: (lambda code=code: OSError(code, os.strerror(code)))
        for name, code in (("EIO", errno.EIO), ("ENOSPC", errno.ENOSPC),
@@ -1009,7 +1042,7 @@ class _FailingWrites:
 @polls_children
 class TestWriterFaults:
     # 3 cells of 8 rows: the split falls in signals_0.1_1.csv, so the run makes
-    # every call, memfd_create, sendfile and fstat too
+    # every call, memfd_create, sendfile, fstat and pread too
     RUN = ["run", "--example", "1", "--n", "8", "--eps", "0.1", "--seeds", "3"]
 
     @pytest.fixture(scope="class")

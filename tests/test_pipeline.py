@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracsrc.pipeline as pipeline
 from fracsrc.cli import preset_source
@@ -412,7 +414,7 @@ class TestSweep:
         def no_draws(*args):
             raise AssertionError("noise drawn before the labels were checked")
 
-        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(pipeline, "_draw", no_draws)
         message = re.escape("unknown filter 'R1'; choose from naive, r1, r2, r3")
         with pytest.raises(ValueError, match=message):
             if entry == "run_sweep":
@@ -462,6 +464,37 @@ class TestSweep:
                 assert row.rel_err * norm <= row.theory_bound, row
                 checked += 1
         assert checked == 32 * 3 * 2 * 3
+
+    # Master seeds of one word, of more (>= 2**32), and of more words than the
+    # pool (>= 2**128, mixed in after it); seed ids of one word and of two or
+    # three, whose keys are longer, in one sweep.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master=st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**128 - 1),
+                         st.integers(2**128, 2**200)),
+        levels=st.integers(1, 3),
+        seed_ids=st.lists(st.one_of(st.integers(0, 50), st.integers(2**32, 2**80)),
+                          min_size=1, max_size=4, unique=True),
+    )
+    @example(master=0, levels=3, seed_ids=[0, 1])
+    @example(master=2**130, levels=1, seed_ids=[2**32, 7])
+    @example(master=2**64 + 5, levels=2, seed_ids=[2**64, 3, 2**32 - 1])
+    def test_one_pass_seeds_states_and_noise_are_numpys(self, master, levels, seed_ids):
+        seed_ids = tuple(seed_ids)
+        cells = [(i_eps, seed_id) for i_eps in range(levels) for seed_id in seed_ids]
+        seeds = pipeline._cell_seeds(master, levels, seed_ids)
+        assert seeds == [cell_seed(master, i_eps, seed_id) for i_eps, seed_id in cells]
+        assert pipeline._pcg_states(seeds) == [
+            np.random.default_rng(seed).bit_generator.state for seed in seeds]
+        grid = TimeGrid(8, 10.0)
+        f = preset_source("square", grid)
+        eps_list = (0.1, 0.0, 1e-3)[:levels]
+        y = synthesize_data(f, EX1)
+        swept = run_sweep(f, EX1, 1.0, eps_list, seed_ids, ("naive",), master)
+        for (i_eps, _), seed, cell in zip(cells, seeds, swept):
+            noisy, _ = add_noise(y, NoiseSpec(eps_list[i_eps], seed))
+            assert cell.rng_seed == seed
+            assert cell.y_noisy.samples.tobytes() == noisy.samples.tobytes()
 
     def test_cell_seeds_are_distinct(self):
         seeds = {cell_seed(9, i, j) for i in range(5) for j in range(20)}
