@@ -537,7 +537,10 @@ def _seeds(value) -> tuple[int, ...]:
     """A count expands to identifiers 0..count-1; a list is taken as is."""
     if isinstance(value, list) or (isinstance(value, str) and "," in value):
         return _list(_int)(value)
-    return tuple(range(_int(value)))
+    count = _int(value)
+    if count < 0:
+        raise ValueError(f"seed count must be nonnegative, got {count}")
+    return tuple(range(count))
 
 
 class Setting(NamedTuple):

@@ -6,11 +6,10 @@ multiplier plus the selected filters) so that per-seed comparisons are
 paired.  A cell's noise stream is ``numpy.random.default_rng(seed)`` (PCG64)
 with ``seed = cell_seed(master_seed, noise-level index, seed identifier)``,
 a ``numpy.random.SeedSequence`` hash; results are therefore bit-reproducible
-regardless of execution order.  The sweep derives every cell's seed and PCG64
-state in one NumPy pass of that hash (``_cell_seeds``, ``_pcg_states``), whose
-algorithm NumPy's RNG policy (NEP 19) fixes, and draws every row from one
-generator set to each state in turn; ``cell_seed`` and ``default_rng`` stay
-the reference it is tested against.
+regardless of execution order.  The sweep hashes its cells' seeds, then their
+PCG64 states, each in one masked NumPy pass (``_cell_seeds``, ``_pcg_states``;
+NEP 19 fixes the hash), and draws every row from one generator set to each
+state in turn; ``cell_seed`` and ``default_rng`` are the tested reference.
 
 The sweep scores a noise level as arrays, a row per cell: one stack of noisy
 measurements, one forward transform, then per estimator one gain table and
@@ -77,10 +76,9 @@ ESTIMATOR_LABELS = ("naive",) + tuple(kind.value for kind in FilterKind)
 DELTA_FLOOR = 1e-20
 
 # numpy.random.SeedSequence's hash (NEP 19 keeps it stable): a pool of four
-# 32-bit words, and the multipliers of its hashmix, mix and output steps
+# 32-bit words, and the running constants of its hashmix and output steps
 _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _MASK128 = (1 << 128) - 1
 
@@ -245,54 +243,43 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _multipliers(first: int, factor: int):
-    """Pairs of successive multipliers of a SeedSequence hash: ``first * factor**k`` mod 2**32."""
-    old = first
-    while True:
-        new = old * factor & 0xFFFFFFFF
-        yield old, new
-        old = new
-
-
-def _scramble(value: np.ndarray, multipliers) -> np.ndarray:
-    """One hash step on uint32 words, which wrap as SeedSequence's C does."""
-    old, new = next(multipliers)
-    value = (value ^ old) * new
-    return value ^ value >> 16
-
-
 def _hash(entropies: list[list[int]], n_words: int) -> list[list[int]]:
-    """``SeedSequence(words).generate_state(n_words)`` of each list of 32-bit ``words``.
+    """``SeedSequence(words).generate_state(n_words, np.uint64)`` of each list of 32-bit ``words``.
 
-    The lists of one length are hashed together, a column each.  Zeros pad a
-    list shorter than the pool, as SeedSequence pads a short entropy.
+    NumPy's ``mix_entropy`` and ``generate_state`` on a uint32 column per list,
+    which wraps as its C does.  Zeros pad each list to the pool and the longest
+    list; past the pool, a column's pool stays as it is once its list runs out.
+    Each of the ``n_words`` words comes back as a list over the columns.
     """
-    by_length: dict[int, list[int]] = {}
-    for i, words in enumerate(entropies):
-        by_length.setdefault(max(len(words), _POOL), []).append(i)
-    out: list[list[int]] = [[]] * len(entropies)
-    for length, group in by_length.items():
-        entropy = np.array([entropies[i] + [0] * (length - len(entropies[i])) for i in group],
-                           np.uint32).T
-        mixing = _multipliers(_INIT_A, _MULT_A)  # the same for every column
-        pool = [_scramble(word, mixing) for word in entropy[:_POOL]]
+    lengths = np.array([len(words) for words in entropies], int)
+    width = lengths.max(initial=_POOL)
+    entropy = np.array([words + [0] * (width - len(words)) for words in entropies],
+                       np.uint32).reshape(-1, width).T
+    const, mult = _INIT_A, _MULT_A
 
-        def mix(dst, word):
-            value = pool[dst] * _MIX_L - word * _MIX_R
-            pool[dst] = value ^ value >> 16
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
 
-        for src in range(_POOL):  # every pool word into every other
-            for dst in range(_POOL):
-                if src != dst:
-                    mix(dst, _scramble(pool[src], mixing))
-        for word in entropy[_POOL:]:  # then each word past the pool into every pool word
-            for dst in range(_POOL):
-                mix(dst, _scramble(word, mixing))
-        output = _multipliers(_INIT_B, _MULT_B)
-        state = [_scramble(pool[k % _POOL], output) for k in range(n_words)]
-        for i, words in zip(group, np.array(state).T.tolist()):
-            out[i] = words
-    return out
+    def mix(x, y):
+        value = x * 0xCA01F9DD - y * 0x4973F715
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):  # every pool word into every other
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for k in range(_POOL, width):  # then each word past the pool into every pool word
+        for dst in range(_POOL):
+            mixed = mix(pool[dst], hashmix(entropy[k]))
+            pool[dst] = mixed if k < lengths.min() else np.where(k < lengths, mixed, pool[dst])
+    const, mult = _INIT_B, _MULT_B  # generate_state hashes the pool words in turn
+    state = [hashmix(pool[k % _POOL]).astype(np.uint64) for k in range(2 * n_words)]
+    return [(lo | hi << 32).tolist() for lo, hi in zip(state[::2], state[1::2])]
 
 
 def _cell_seeds(master_seed: int, levels: int, seed_ids: tuple[int, ...]) -> list[int]:
@@ -303,9 +290,8 @@ def _cell_seeds(master_seed: int, levels: int, seed_ids: tuple[int, ...]) -> lis
     """
     prefix = _words(master_seed)
     prefix += [0] * (_POOL - len(prefix))
-    entropies = [prefix + _words(i_eps) + _words(seed_id)
-                 for i_eps in range(levels) for seed_id in seed_ids]
-    return [lo | hi << 32 for lo, hi in _hash(entropies, 2)]
+    return _hash([prefix + _words(i_eps) + _words(seed_id)
+                  for i_eps in range(levels) for seed_id in seed_ids], 1)[0]
 
 
 def _pcg_states(seeds: list[int]) -> list[dict]:
@@ -316,10 +302,9 @@ def _pcg_states(seeds: list[int]) -> list[dict]:
     steps the LCG from 0 twice, adding ``initstate`` in between.
     """
     states = []
-    for w in _hash([_words(seed) for seed in seeds], 8):
-        initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-        inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
-        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    for w0, w1, w2, w3 in zip(*_hash([_words(seed) for seed in seeds], 4)):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
         states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                        "has_uint32": 0, "uinteger": 0})
     return states

@@ -224,6 +224,9 @@ class TestMainExitCodes:
             (["--omega", "1e-300"], None, 2, "error: Lambda or G(x0, .)"),
             (["--t-max", "1e-320"], None, 2, "error: Lambda or G(x0, .)"),
             (["--seeds=-1,2"], None, 2, "error: seed identifiers"),
+            # a negative count is named as such, not as the empty list it would expand to
+            (["--seeds", "-3"], None, 2, "error: seeds: seed count must be nonnegative, got -3\n"),
+            ([], {"seeds": -1}, 2, "error: seeds: seed count must be nonnegative, got -1\n"),
             (["--master-seed", "-5"], None, 2, "error: master seed"),
             (["--seeds", "1,1"], None, 2, "error: seed identifiers"),
             (["--eps", "0.1,0.1"], None, 2, "error: noise levels"),

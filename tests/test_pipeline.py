@@ -400,6 +400,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="sigma must be a nonnegative finite real"):
             run_sweep(square, EX1, 1.0, (-0.1,), (), ALL_ESTIMATORS, 7)
 
+    @pytest.mark.parametrize("eps_list, seed_ids", [((), (0, 1)), ((0.1,), ())])
+    def test_empty_sweep_has_no_cells(self, square, eps_list, seed_ids):
+        # no level or no seed: no cell to seed, hash or draw
+        assert run_sweep(square, EX1, 1.0, eps_list, seed_ids, ALL_ESTIMATORS, 7) == []
+
     def test_naive_only_sweep_warns_nothing_about_the_bound(self, square):
         # the Sobolev norm overflows at p = 1000, but only filtered rows read it
         with warnings.catch_warnings():
@@ -501,6 +506,17 @@ class TestSweep:
         assert len(seeds) == 100
         assert cell_seed(9, 2, 3) == cell_seed(9, 2, 3)
         assert cell_seed(9, 2, 3) != cell_seed(10, 2, 3)
+
+    def test_states_of_long_rng_seeds(self, square):
+        # a sweep's seeds fit in 64 bits; longer rng seeds hash past the pool, each
+        # column with its own word count, in one call
+        seeds = [0, 5, 2**32 + 1, 2**64 + 3, 2**100, 2**128 + 9, 2**200 + 1]
+        assert pipeline._pcg_states(seeds) == [
+            np.random.default_rng(seed).bit_generator.state for seed in seeds]
+        y = synthesize_data(square, EX1)
+        cell = run_cell(square, y, EX1, 1.0, 0.1, 0, 2**130 + 7, ("naive",), 1.0)
+        noisy, _ = add_noise(y, NoiseSpec(0.1, 2**130 + 7))
+        assert cell.y_noisy.samples.tobytes() == noisy.samples.tobytes()
 
 
 def test_traced_peak_per_bin_of_a_one_cell_run():
