@@ -275,8 +275,7 @@ def _hash(entropies: list[list[int]], n_words: int) -> list[list[int]]:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for k in range(_POOL, width):  # then each word past the pool into every pool word
         for dst in range(_POOL):
-            mixed = mix(pool[dst], hashmix(entropy[k]))
-            pool[dst] = mixed if k < lengths.min() else np.where(k < lengths, mixed, pool[dst])
+            pool[dst] = np.where(k < lengths, mix(pool[dst], hashmix(entropy[k])), pool[dst])
     const, mult = _INIT_B, _MULT_B  # generate_state hashes the pool words in turn
     state = [hashmix(pool[k % _POOL]).astype(np.uint64) for k in range(2 * n_words)]
     return [(lo | hi << 32).tolist() for lo, hi in zip(state[::2], state[1::2])]
