@@ -6,10 +6,10 @@ multiplier plus the selected filters) so that per-seed comparisons are
 paired.  A cell's noise stream is ``numpy.random.default_rng(seed)`` (PCG64)
 with ``seed = cell_seed(master_seed, noise-level index, seed identifier)``,
 a ``numpy.random.SeedSequence`` hash; results are therefore bit-reproducible
-regardless of execution order.  The sweep hashes its cells' seeds, then their
-PCG64 states, each in one masked NumPy pass (``_cell_seeds``, ``_pcg_states``;
-NEP 19 fixes the hash), and draws every row from one generator set to each
-state in turn; ``cell_seed`` and ``default_rng`` are the tested reference.
+regardless of execution order.  The sweep hashes its cells' seeds, then the
+four PCG64 seed words of each, in one masked NumPy pass each (``_cell_seeds``,
+``_pcg_words``; NEP 19 fixes the hash), and PCG64 seeds each row's generator
+from its words itself; ``cell_seed`` and ``default_rng`` are the tested reference.
 
 The sweep scores a noise level as arrays, a row per cell: one stack of noisy
 measurements, one forward transform, then per estimator one gain table and
@@ -79,8 +79,6 @@ DELTA_FLOOR = 1e-20
 # 32-bit words, and the running constants of its hashmix and output steps
 _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_MASK128 = (1 << 128) - 1
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -243,13 +241,13 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hash(entropies: list[list[int]], n_words: int) -> list[list[int]]:
+def _hash(entropies: list[list[int]], n_words: int) -> np.ndarray:
     """``SeedSequence(words).generate_state(n_words, np.uint64)`` of each list of 32-bit ``words``.
 
     NumPy's ``mix_entropy`` and ``generate_state`` on a uint32 column per list,
     which wraps as its C does.  Zeros pad each list to the pool and the longest
     list; past the pool, a column's pool stays as it is once its list runs out.
-    Each of the ``n_words`` words comes back as a list over the columns.
+    Returns a ``(lists, n_words)`` uint64 array: each list's words are one C-contiguous row.
     """
     lengths = np.array([len(words) for words in entropies], int)
     width = lengths.max(initial=_POOL)
@@ -278,7 +276,7 @@ def _hash(entropies: list[list[int]], n_words: int) -> list[list[int]]:
             pool[dst] = np.where(k < lengths, mix(pool[dst], hashmix(entropy[k])), pool[dst])
     const, mult = _INIT_B, _MULT_B  # generate_state hashes the pool words in turn
     state = [hashmix(pool[k % _POOL]).astype(np.uint64) for k in range(2 * n_words)]
-    return [(lo | hi << 32).tolist() for lo, hi in zip(state[::2], state[1::2])]
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=-1)
 
 
 def _cell_seeds(master_seed: int, levels: int, seed_ids: tuple[int, ...]) -> list[int]:
@@ -289,30 +287,29 @@ def _cell_seeds(master_seed: int, levels: int, seed_ids: tuple[int, ...]) -> lis
     """
     prefix = _words(master_seed)
     prefix += [0] * (_POOL - len(prefix))
-    return _hash([prefix + _words(i_eps) + _words(seed_id)
-                  for i_eps in range(levels) for seed_id in seed_ids], 1)[0]
+    level_keys = [prefix + _words(i_eps) for i_eps in range(levels)]
+    seed_keys = [_words(seed_id) for seed_id in seed_ids]
+    return _hash([level + seed for level in level_keys for seed in seed_keys], 1)[:, 0].tolist()
 
 
-def _pcg_states(seeds: list[int]) -> list[dict]:
-    """``numpy.random.default_rng(seed).bit_generator.state`` for each seed.
+class _Hashed(NamedTuple):
+    """A seed's four words for ``PCG64``; built only by ``_pcg_words``, which registers it."""
 
-    ``PCG64`` takes four 64-bit words of the seed's hash: ``initstate`` and
-    ``initseq`` of PCG's ``srandom``, which sets ``inc = 2 initseq + 1`` and
-    steps the LCG from 0 twice, adding ``initstate`` in between.
-    """
-    states = []
-    for w0, w1, w2, w3 in zip(*_hash([_words(seed) for seed in seeds], 4)):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    words: np.ndarray  # C-contiguous uint64: PCG64 reads the raw buffer
+
+    def generate_state(self, n_words: int, dtype) -> np.ndarray:  # PCG64 asks for 4 uint64 words
+        return self.words
 
 
-def _draw(rng: np.random.Generator, state: dict, sigma: float, n: int) -> np.ndarray:
-    """``add_noise``'s draw for the seed whose ``default_rng`` has ``state``, from ``rng``."""
-    rng.bit_generator.state = state
-    return rng.normal(0.0, sigma, n)
+def _pcg_words(seeds: list[int]) -> list[_Hashed]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, as a ``_Hashed``."""
+    np.random.bit_generator.ISeedSequence.register(_Hashed)  # on use: import loads no numpy.random
+    return [_Hashed(words) for words in _hash([_words(seed) for seed in seeds], 4)]
+
+
+def _draw(words: _Hashed, sigma: float, n: int) -> np.ndarray:
+    """``add_noise``'s draw for the seed whose ``_pcg_words`` entry is ``words``."""
+    return np.random.Generator(np.random.PCG64(words)).normal(0.0, sigma, n)
 
 
 def _check_filters(filters: tuple[str, ...]) -> None:
@@ -364,18 +361,17 @@ def _score(
 
 def _run_cells(
     f_true: RealSignal, y: RealSignal, params: MediumParams, p: float, epsilon: float,
-    seeds: list[tuple[int, int, dict]], filters: tuple[str, ...], c_bound: float,
-    rng: np.random.Generator,
+    seeds: list[tuple[int, int, _Hashed]], filters: tuple[str, ...], c_bound: float,
 ) -> list[CellResult]:
-    """Score one noise level's cells as one stack, each row drawn from ``rng``.
+    """Score one noise level's cells as one stack.
 
-    ``seeds`` holds each cell's ``(seed id, rng seed, default_rng(rng seed)'s state)``.
+    ``seeds`` holds each cell's ``(seed id, rng seed, _pcg_words entry of the rng seed)``.
     """
     _check_filters(filters)
     NoiseSpec(epsilon, 0)  # checks the level; each row draws it as add_noise does
     stack = np.zeros((len(seeds), y.grid.n))  # the noise, then y_noisy
-    for row, (_, _, state) in zip(stack, seeds):
-        row[:] = _draw(rng, state, epsilon, y.grid.n)
+    for row, (_, _, words) in zip(stack, seeds):
+        row[:] = _draw(words, epsilon, y.grid.n)
     noise_sq = np.sum(stack * stack, axis=-1)
     stack += y.samples
     y_noisy = RealSignal(y.grid, stack)
@@ -423,9 +419,8 @@ def run_cell(
     a bound on the absolute L2 error with ``c_bound`` standing in for the
     source's Sobolev norm.  This is the sweep's scoring code on a one-cell stack.
     """
-    seeds = [(seed_id, rng_seed, _pcg_states([rng_seed])[0])]
-    rng = np.random.default_rng(0)  # its state is set before the draw
-    return _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound, rng)[0]
+    seeds = [(seed_id, rng_seed, _pcg_words([rng_seed])[0])]
+    return _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound)[0]
 
 
 def run_sweep(
@@ -454,11 +449,10 @@ def _sweep(
 ) -> list[CellResult]:
     """``run_sweep`` with the measurement ``y`` and the source's Sobolev norm ``c_bound`` given."""
     rng_seeds = _cell_seeds(master_seed, len(eps_list), seed_ids)
-    states = _pcg_states(rng_seeds)
-    rng = np.random.default_rng(0)  # its state is set before each row's draw
+    words = _pcg_words(rng_seeds)
     cells = []
     for i_eps, epsilon in enumerate(eps_list):
         first = i_eps * len(seed_ids)
-        seeds = list(zip(seed_ids, rng_seeds[first:], states[first:]))
-        cells += _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound, rng)
+        seeds = list(zip(seed_ids, rng_seeds[first:], words[first:]))
+        cells += _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound)
     return cells

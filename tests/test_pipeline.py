@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,7 +493,7 @@ class TestSweep:
         cells = [(i_eps, seed_id) for i_eps in range(levels) for seed_id in seed_ids]
         seeds = pipeline._cell_seeds(master, levels, seed_ids)
         assert seeds == [cell_seed(master, i_eps, seed_id) for i_eps, seed_id in cells]
-        assert pipeline._pcg_states(seeds) == [
+        assert [np.random.PCG64(words).state for words in pipeline._pcg_words(seeds)] == [
             np.random.default_rng(seed).bit_generator.state for seed in seeds]
         grid = TimeGrid(8, 10.0)
         f = preset_source("square", grid)
@@ -511,12 +515,25 @@ class TestSweep:
         # a sweep's seeds fit in 64 bits; longer rng seeds hash past the pool, each
         # column with its own word count, in one call
         seeds = [0, 5, 2**32 + 1, 2**64 + 3, 2**100, 2**128 + 9, 2**200 + 1]
-        assert pipeline._pcg_states(seeds) == [
+        words = pipeline._pcg_words(seeds)
+        assert [np.random.PCG64(row).state for row in words] == [
             np.random.default_rng(seed).bit_generator.state for seed in seeds]
+        for seed, row in zip(seeds, words):
+            assert pipeline._draw(row, 0.1, 8).tobytes() == (
+                np.random.default_rng(seed).normal(0.0, 0.1, 8).tobytes()), seed
         y = synthesize_data(square, EX1)
         cell = run_cell(square, y, EX1, 1.0, 0.1, 0, 2**130 + 7, ("naive",), 1.0)
         noisy, _ = add_noise(y, NoiseSpec(0.1, 2**130 + 7))
         assert cell.y_noisy.samples.tobytes() == noisy.samples.tobytes()
+
+    def test_import_loads_no_numpy_random(self):
+        # _pcg_words registers _Hashed with numpy.random on first use, so that an
+        # import, which every run's setup pays, does not load it
+        env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).resolve().parents[1]))
+        code = 'import fracsrc, sys; assert "numpy.random" not in sys.modules'
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_traced_peak_per_bin_of_a_one_cell_run():
