@@ -16,9 +16,9 @@ and unwritable outputs, 3 when an internal consistency guard fires (a
 :class:`SymmetryError`, or a numeric precondition of the library raising
 ``ValueError``, such as a noise draw far louder than its level's expected
 norm) or the run does not fit in memory.  :class:`ExperimentConfig` checks the
-settings; :func:`run_experiment` checks the run's data before any noise or file
-with the sweep's own ``pipeline._measure`` (medium, grid, source norm) and
-``pipeline._score`` (the least-noise row and the loudest level's expected row).
+settings; :func:`run_experiment` takes the sweep's record from ``pipeline._measure``
+(medium, grid, source norm) and scores its least-noise and loudest expected rows
+with ``pipeline._score`` before any noise or file, then hands it to ``_sweep``.
 With more than one CPU, a forked child writes the signals rows from one past
 the middle and then a completion mark; without the mark, or with no child (the
 fork failing too), the run writes them.  Both processes format the signals
@@ -112,6 +112,8 @@ class ExperimentConfig:
             raise ConfigError(f"master seed must be nonnegative, got {self.master_seed}")
         if not self.filters:
             raise ConfigError("filter set must not be empty")
+        if len(set(self.filters)) < len(self.filters):
+            raise ConfigError(f"filter labels must be distinct, got {self.filters}")
         try:  # the library's checks raise ValueError
             _check_filters(self.filters)
             if not (self.p > 0.0 and math.isfinite(self.p)):
@@ -430,7 +432,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     grid = cfg.grid()
     f_true = preset_source(cfg.source, grid)
     try:  # _measure refuses a degenerate medium or grid first
-        y, c_bound = _measure(f_true, cfg.params, cfg.p)
+        run = _measure(f_true, cfg.params, cfg.p, cfg.filters)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # the sweep's scoring of the least-noise row (mu grows with delta: can p score it?)
@@ -440,32 +442,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                               (grid.n * loudest * loudest,
                                f"eps: noise level {loudest:g} is too large to score")):
         try:
-            _score(grid, [noise_sq], cfg.p, cfg.filters, c_bound, cfg.params)
+            _score(run, [noise_sq])
         except ValueError as exc:
-            if noise_sq or math.isfinite(c_bound):  # else a filtered row met an overflowed norm
+            if noise_sq or math.isfinite(run.c_bound):  # else a filtered row met an overflowed norm
                 raise ConfigError(f"{refusal}: {exc}") from exc
-            if math.isfinite(_measure(f_true, cfg.params, 5e-324)[1]):  # at the least p > 0
+            if math.isfinite(_measure(f_true, cfg.params, 5e-324, ()).c_bound):  # least p > 0
                 raise ConfigError(f"{refusal}: its H^p norm overflows at p = {cfg.p:g}") from exc
             raise ConfigError(
                 "t_max: the source's H^p norm overflows at every p > 0 "
                 f"with t_max = {cfg.t_max:g} and n = {cfg.n}"
             ) from exc
-    cells = _sweep(
-        f_true, y, cfg.params, cfg.p, cfg.eps_list, cfg.seed_ids, cfg.filters, cfg.master_seed,
-        c_bound,
-    )
+    cells = _sweep(run, cfg.eps_list, cfg.seed_ids, cfg.master_seed)
     rows = tuple(row for cell in cells for row in cell.rows)
     # naive first in errors and signals, as run_cell orders estimates; last in summary
     selected = list(cells[0].estimates)
     summary_labels = sorted(selected, key="naive".__eq__)
 
-    summary = []
-    for epsilon in cfg.eps_list:
-        entry: dict = {"epsilon": epsilon}
-        for label in summary_labels:
-            errs = [r.rel_err for r in rows if r.epsilon == epsilon and r.filter == label]
-            entry[label] = sum(errs) / len(errs)
-        summary.append(entry)
+    errors: dict = {}  # rel_err by (epsilon, filter) in row order, one per seed
+    for r in rows:
+        errors.setdefault((r.epsilon, r.filter), []).append(r.rel_err)
+    summary = [{"epsilon": epsilon, **{label: sum(errors[epsilon, label]) / len(cfg.seed_ids)
+                                       for label in summary_labels}} for epsilon in cfg.eps_list]
 
     signal_paths = [cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv" for cell in cells]
     files = [cfg.out_dir / "errors.csv", cfg.out_dir / "summary.csv", *signal_paths]
@@ -489,7 +486,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _write_signals(
             signal_paths,
             ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected]) + "\n",
-            [grid.times(), f_true.samples, cells[0].y.samples],  # the same in every file
+            [grid.times(), f_true.samples, run.y.samples],  # the same in every file
             [[cell.y_noisy.samples] + [cell.estimates[label].samples for label in selected]
              for cell in cells],
         )

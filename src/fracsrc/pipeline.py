@@ -15,14 +15,13 @@ The sweep scores a noise level as arrays, a row per cell: one stack of noisy
 measurements, one forward transform, then per estimator one gain table and
 one inverse transform, and errors one per row.  The per-cell results, views
 of those rows, are built on return; ``run_cell`` is the same code on one row.
-``_measure`` takes the source's one transform to ``y`` and its Sobolev norm,
-and ``_score``, the one judge of which rows read that norm, a row's noise to
-``delta``, ``mu`` and bounds, for the sweep and ``cli.run_experiment`` alike.
 
-The multiplier tables (``Lambda`` and ``G(x0, .)`` on the grid's bins) depend
-only on the medium and the grid, so they are sampled once per
-``(MediumParams, TimeGrid)`` pair and shared, read-only, by every cell and
-estimator; each filter table is ``Lambda`` times its real attenuation.
+``_measure`` puts what every level of a sweep shares in one ``_Run`` record: the
+source, ``y`` and the source's Sobolev norm from its one transform, the settings,
+and the read-only ``Lambda`` and ``G(x0, .)`` tables on the grid's bins, sampled
+once per medium and grid (``_tables`` keeps the last pair for one-shot calls).
+``_score``, the one judge of which rows read that norm, takes a record and each
+row's noise to ``delta``, ``mu`` and bounds, for the sweep and the CLI alike.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class _Tables(NamedTuple):
     kernel: np.ndarray  # G(x0, .)
 
 
-@functools.lru_cache(maxsize=8)  # a sweep needs one entry; the bound caps memory
+@functools.lru_cache(maxsize=1)  # a run holds its own; this serves repeated one-shot calls
 def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
     """Tables for one (medium, grid); raises ValueError if Lambda or G is not finite or G is 0."""
     with np.errstate(all="ignore"):
@@ -171,10 +170,9 @@ def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
 
 
 def _invert(
-    spectrum: Spectrum, params: MediumParams, kind: FilterKind | None = None, mu=None
+    spectrum: Spectrum, tables: _Tables, kind: FilterKind | None = None, mu=None
 ) -> RealSignal:
     """Apply ``Lambda``, or the ``kind`` filter at ``mu`` (a column for a stack), and invert."""
-    tables = _tables(params, spectrum.grid)
     gain = tables.inverse if kind is None else tables.inverse * attenuation(kind, tables.xi, mu)
     filtered = apply_multiplier(spectrum, gain)
     del gain  # one complex stack, as large as idft's own buffer: not alive while idft allocates
@@ -186,7 +184,7 @@ def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:
 
     Exact on noise-free data; amplifies high-frequency noise otherwise.
     """
-    return _invert(dft(y_noisy), params)
+    return _invert(dft(y_noisy), _tables(params, y_noisy.grid))
 
 
 def invert_regularized(
@@ -199,7 +197,7 @@ def invert_regularized(
 ) -> tuple[RealSignal, float]:
     """Filtered inversion with the a priori parameter rule; returns (estimate, mu)."""
     mu = choose_mu(delta, delta_max, p)
-    return _invert(dft(y_noisy), params, kind, mu), mu
+    return _invert(dft(y_noisy), _tables(params, y_noisy.grid), kind, mu), mu
 
 
 def relative_error(f_est: RealSignal, f_true: RealSignal) -> float | np.ndarray:
@@ -292,7 +290,8 @@ def _cell_seeds(master_seed: int, levels: int, seed_ids: tuple[int, ...]) -> lis
     return _hash([level + seed for level in level_keys for seed in seed_keys], 1)[:, 0].tolist()
 
 
-class _Hashed(NamedTuple):
+@dataclass(slots=True)  # not a tuple, which PCG64 would hash as entropy if unregistered
+class _Hashed:
     """A seed's four words for ``PCG64``; built only by ``_pcg_words``, which registers it."""
 
     words: np.ndarray  # C-contiguous uint64: PCG64 reads the raw buffer
@@ -316,34 +315,45 @@ def _check_filters(filters: tuple[str, ...]) -> None:
     """Raise ValueError naming the first label that is not an estimator."""
     for label in filters:
         if label not in ESTIMATOR_LABELS:
-            raise ValueError(
-                f"unknown filter {label!r}; choose from {', '.join(ESTIMATOR_LABELS)}"
-            )
+            raise ValueError(f"unknown filter {label!r}; choose from {', '.join(ESTIMATOR_LABELS)}")
 
 
-def _measure(f_true: RealSignal, params: MediumParams, p: float) -> tuple[RealSignal, float]:
-    """``y`` and the source's ``H^p`` norm, which may overflow, from one transform of the source."""
+class _Run(NamedTuple):
+    """What every noise level of a sweep shares; ``_measure`` builds it, ``run_cell`` its own."""
+
+    f_true: RealSignal
+    y: RealSignal  # the exact measurement
+    c_bound: float  # the source's H^p norm, which may overflow
+    params: MediumParams
+    p: float
+    filters: tuple[str, ...]
+    tables: _Tables  # of (params, grid)
+
+
+def _measure(
+    f_true: RealSignal, params: MediumParams, p: float, filters: tuple[str, ...]
+) -> _Run:
+    """A sweep's ``_Run``, with ``y`` and the source's ``H^p`` norm from one transform of it."""
     f_hat = dft(f_true)
     with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
         c_bound = float(hp_norm(f_hat, p))
-    return _synthesize(f_hat, params), c_bound  # the n complex bins die here
+    y = _synthesize(f_hat, params)  # the n complex bins die on return
+    return _Run(f_true, y, c_bound, params, p, filters, _tables(params, f_true.grid))
 
 
-def _score(
-    grid: TimeGrid, noise_sq: list[float] | np.ndarray, p: float, filters: tuple[str, ...],
-    c_bound: float, params: MediumParams,
-) -> tuple[list, list, list, dict[FilterKind, list]]:
+def _score(run: _Run, noise_sq: list[float] | np.ndarray) -> tuple[list, list, list, dict]:
     """Each row's ``delta``, ``delta_max``, ``mu`` and bound per kind, from its ``sum(eta^2)``.
 
     The values and errors are those of ``delta_max_rule``, ``choose_mu``,
     ``RegParams`` and ``error_bound`` row by row: ``mu`` and the checks are
     theirs, and the bounds take ``error_bound``'s IEEE operations in its order.
     """
-    delta = np.maximum(np.sqrt(grid.dt * np.asarray(noise_sq)), DELTA_FLOOR)
+    p, c_bound, params = run.p, run.c_bound, run.params
+    delta = np.maximum(np.sqrt(run.y.grid.dt * np.asarray(noise_sq)), DELTA_FLOOR)
     delta_max = 1.0 + delta
     if not np.isfinite(delta_max).all():
         delta_max_rule(float(delta[~np.isfinite(delta_max)][0]))  # raises its error
-    kinds = [kind for kind in FilterKind if kind.value in filters]
+    kinds = [kind for kind in FilterKind if kind.value in run.filters]
     deltas, delta_maxes = delta.tolist(), delta_max.tolist()
     if not kinds:
         return deltas, delta_maxes, [], {}
@@ -360,36 +370,32 @@ def _score(
 
 
 def _run_cells(
-    f_true: RealSignal, y: RealSignal, params: MediumParams, p: float, epsilon: float,
-    seeds: list[tuple[int, int, _Hashed]], filters: tuple[str, ...], c_bound: float,
+    run: _Run, epsilon: float, seeds: list[tuple[int, int, _Hashed]]
 ) -> list[CellResult]:
-    """Score one noise level's cells as one stack.
-
-    ``seeds`` holds each cell's ``(seed id, rng seed, _pcg_words entry of the rng seed)``.
-    """
-    _check_filters(filters)
+    """Score one level's cells, ``(seed id, rng seed, its _pcg_words entry)`` each, as one stack."""
+    _check_filters(run.filters)
     NoiseSpec(epsilon, 0)  # checks the level; each row draws it as add_noise does
-    stack = np.zeros((len(seeds), y.grid.n))  # the noise, then y_noisy
+    stack = np.zeros((len(seeds), run.y.grid.n))  # the noise, then y_noisy
     for row, (_, _, words) in zip(stack, seeds):
-        row[:] = _draw(words, epsilon, y.grid.n)
+        row[:] = _draw(words, epsilon, run.y.grid.n)
     noise_sq = np.sum(stack * stack, axis=-1)
-    stack += y.samples
-    y_noisy = RealSignal(y.grid, stack)
-    delta, delta_max, mu, bounds = _score(y.grid, noise_sq, p, filters, c_bound, params)
+    stack += run.y.samples
+    y_noisy = RealSignal(run.y.grid, stack)
+    delta, delta_max, mu, bounds = _score(run, noise_sq)
     spectrum = dft(y_noisy)
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
-    if "naive" in filters:
-        estimate = _invert(spectrum, params)
+    if "naive" in run.filters:
+        estimate = _invert(spectrum, run.tables)
         none = [None] * len(seeds)
-        columns["naive"] = (estimate, none, relative_error(estimate, f_true).tolist(), none)
+        columns["naive"] = (estimate, none, relative_error(estimate, run.f_true).tolist(), none)
     for kind, bound in bounds.items():
-        estimate = _invert(spectrum, params, kind, np.array(mu)[:, None])
-        columns[kind.value] = (estimate, mu, relative_error(estimate, f_true).tolist(), bound)
+        estimate = _invert(spectrum, run.tables, kind, np.array(mu)[:, None])
+        columns[kind.value] = (estimate, mu, relative_error(estimate, run.f_true).tolist(), bound)
     y_noisy = _row_views(y_noisy)
     estimates = {label: _row_views(column[0]) for label, column in columns.items()}
     return [
         CellResult(
-            epsilon, seed_id, rng_seed, delta[i], delta_max[i], y, y_noisy[i],
+            epsilon, seed_id, rng_seed, delta[i], delta_max[i], run.y, y_noisy[i],
             {label: rows[i] for label, rows in estimates.items()},
             tuple(
                 ErrorRow(epsilon, seed_id, label, mu[i], delta[i], delta_max[i],
@@ -419,8 +425,8 @@ def run_cell(
     a bound on the absolute L2 error with ``c_bound`` standing in for the
     source's Sobolev norm.  This is the sweep's scoring code on a one-cell stack.
     """
-    seeds = [(seed_id, rng_seed, _pcg_words([rng_seed])[0])]
-    return _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound)[0]
+    run = _Run(f_true, y, c_bound, params, p, filters, _tables(params, y.grid))
+    return _run_cells(run, epsilon, [(seed_id, rng_seed, _pcg_words([rng_seed])[0])])[0]
 
 
 def run_sweep(
@@ -438,21 +444,17 @@ def run_sweep(
     Each cell's RNG stream depends only on ``(master_seed, eps index, seed
     id)``, so results do not depend on how cells are grouped or ordered.
     """
-    y, c_bound = _measure(f_true, params, p)
-    return _sweep(f_true, y, params, p, eps_list, seed_ids, filters, master_seed, c_bound)
+    return _sweep(_measure(f_true, params, p, filters), eps_list, seed_ids, master_seed)
 
 
 def _sweep(
-    f_true: RealSignal, y: RealSignal, params: MediumParams, p: float,
-    eps_list: tuple[float, ...], seed_ids: tuple[int, ...], filters: tuple[str, ...],
-    master_seed: int, c_bound: float,
+    run: _Run, eps_list: tuple[float, ...], seed_ids: tuple[int, ...], master_seed: int
 ) -> list[CellResult]:
-    """``run_sweep`` with the measurement ``y`` and the source's Sobolev norm ``c_bound`` given."""
+    """``run_sweep`` of the source, medium and settings that ``_measure`` put in ``run``."""
     rng_seeds = _cell_seeds(master_seed, len(eps_list), seed_ids)
     words = _pcg_words(rng_seeds)
     cells = []
     for i_eps, epsilon in enumerate(eps_list):
         first = i_eps * len(seed_ids)
-        seeds = list(zip(seed_ids, rng_seeds[first:], words[first:]))
-        cells += _run_cells(f_true, y, params, p, epsilon, seeds, filters, c_bound)
+        cells += _run_cells(run, epsilon, list(zip(seed_ids, rng_seeds[first:], words[first:])))
     return cells

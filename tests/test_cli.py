@@ -141,6 +141,7 @@ class TestConfigValidation:
             dict(eps_list=(0.1, 0.1000001)),  # both name signals_0.1_<seed>.csv
             dict(t_max=5e-324),
             dict(eps_list=(-0.0,)),
+            dict(filters=("naive", "r1", "naive")),
         ],
     )
     def test_rejects_invalid(self, tmp_path, overrides):
@@ -274,6 +275,8 @@ class TestMainExitCodes:
             (["--t-max", "1e308", "--pad", "4"], None, 2, "error: t_max and pad: the padded "
              "window t_max * pad overflows, got t_max = 1e+308 and pad = 4\n"),
             (["--pad", str(2**1100)], None, 2, "error: n and pad:"),
+            (["--filters", "naive,r1,naive"], None, 2,
+             "error: filter labels must be distinct, got ('naive', 'r1', 'naive')\n"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -534,6 +535,45 @@ class TestSweep:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_unregistered_hashed_words_are_refused(self):
+        # PCG64 hashes an unregistered tuple as entropy and seeds another stream;
+        # a _Hashed, built before _pcg_words registers its class, must raise instead
+        env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).resolve().parents[1]))
+        code = (
+            "import numpy as np\n"
+            "from fracsrc import pipeline\n"
+            "words = pipeline._Hashed(pipeline._hash([[12345]], 4)[0])\n"
+            "try:\n"
+            "    np.random.PCG64(words)\n"
+            "except TypeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('PCG64 took unregistered words')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_table_cache_holds_one_grid():
+    # a run holds its own tables, so the cache keeps only the last (medium, grid):
+    # sweeps on five grids leave what a sweep on the largest leaves (its tables,
+    # about 2.6 MB), not the sum over the grids (about 5.1 MB)
+    def held(sizes):
+        _tables.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for n in sizes:
+                grid = TimeGrid(n, 10.0)
+                run_sweep(preset_source("exp", grid), EX2, 2.0, (0.1,), (0,), ("naive",), 7)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held([256])  # one-time allocations, such as lazy imports, are not the cache's
+    assert abs(held([1 << k for k in range(12, 17)]) - held([1 << 16])) <= 0.5e6
 
 
 def test_traced_peak_per_bin_of_a_one_cell_run():
