@@ -148,8 +148,8 @@ class ExperimentReport:
     files: tuple[Path, ...]
 
 
-# Values a "%.17g" formatter call takes; it bounds the signals writer's arrays and text.
-_SIGNALS_BLOCK = 1536
+# Values a "%.17g" call takes: as many as test_writer_memory_does_not_grow_with_the_grid allows.
+_SIGNALS_BLOCK = 7168
 _OPEN_FILES = 32  # signals files a process keeps open at once
 _TABLES: dict[str, np.ndarray] = {}  # the formatter's, built by _tables on first use
 
@@ -201,34 +201,39 @@ def _pow10(k: int) -> tuple[float, float, float, float]:
 def _tables() -> dict[str, np.ndarray]:
     # Built from Python and numpy fills: other numpy loops map more of numpy's library in.
     if not _TABLES:
-        # A field's 48 bytes: sign, "0.000", digits 0..16 each with a dot slot after, "e+-", 3
-        # exponent digits, 2 spare.  Template [layout, digits - 1, sign] has 255 where a digit
-        # goes; layouts 0..20 are fixed, of exponent layout - 4, 21..24 the exponent form.
-        template = np.zeros((25, 17, 2, 48), np.uint8)
-        template[:, :, 1, 0] = ord("-")
+        # A field's 32 bytes: sign, "0.000", digit, dot, 16 digits, "e+-", 3 digits, 2 spare, the
+        # separator's.  Template [layout, digits - 1, sign] has 255 where a digit goes; layouts
+        # 0..20 are fixed, of exponent layout - 4 (1..15 dotted by _format), 21..24 exponent form.
+        template = np.zeros((25, 17, 2, 32), np.uint8)
+        template[:, :, 1, 0], template[:, :, :, 6] = ord("-"), 255
+        dotted = np.zeros((25, 17, 2), bool)  # the templates whose dot _format places
+        dot = np.zeros((3, 17, 24), np.uint8)  # by exponent k, bytes 8..31: below, above, dot
         for k in range(17):
-            template[:, k, :, 6:8 + 2 * k:2] = 255  # k + 1 significant digits
-            template[k + 4, :, :, 6:8 + 2 * k:2] = 255  # exponent k: k + 1 integer digits
-            template[k + 4, k + 1:, :, 7 + 2 * k] = ord(".")  # and a dot, if digits follow
+            template[:, k, :, 8:8 + k] = 255  # k + 1 significant digits
+            template[k + 4, :, :, 8:8 + k] = 255  # exponent k: k + 1 integer digits
+            dotted[k + 4, k + 1:] = 0 < k < 16  # and a dot at byte 8 + k, if digits follow
+            dot[0, k, :k], dot[1, k, k + 1:], dot[2, k, k] = 255, 255, 46
         for x in range(1, 5):  # exponent -x: "0." and x - 1 zeros
             template[4 - x, :, :, 1:2 + x] = [*b"0.000"[:1 + x]]
-        template[21:, 1:, :, 7], template[21:, :, :, 40], template[21:, :, :, 44:46] = 46, 101, 255
-        template[21:23, :, :, 42], template[23:, :, :, 41], template[22::2, :, :, 43] = 45, 43, 255
-        pairs = np.frombuffer(b"".join(  # of 2 digits "ab": a, -, b, -
-            b"%c\xff%c\xff" % (48 + i // 10, 48 + i % 10) for i in range(100)), np.uint32)
-        quads = np.empty((100, 100, 2), np.uint32)  # of 4 digits "abcd": pairs "ab", "cd"
+        template[[4, 21, 22, 23, 24], 1:, :, 7] = 46  # the first digit's dot, if others follow
+        template[21:, :, :, 24:29] = [*b"e-\xff\xff\xff"]  # "e-" and 3 exponent digits
+        template[23:, :, :, 25], template[21::2, :, :, 26] = 43, 0  # "e+", and 2 exponent digits
+        pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+        quads = np.empty((100, 100, 2), np.uint16)  # of 4 digits "abcd": pairs "ab", "cd"
         quads[:, :, 0], quads[:, :, 1] = pairs[:, None], pairs
         sig = np.full(10000, 10)  # by 4 digits "abcd": 2 s + 2, s the digits up to the last
         sig[::10], sig[::100], sig[::1000], sig[0] = 8, 6, 4, -100  # nonzero one; see _format
         _TABLES.update(
-            template=template.reshape(-1, 48),
+            template=template.reshape(-1, 32),
+            dotted=dotted.ravel(),
+            dot=dot.view(np.uint64),
             # by exponent e + 300: 34 layout - 2, the template less 2 digits + sign
             layout=np.array([34 * (e + 4 if -4 <= e <= 16 else 21 + 2 * (e > 0) + (abs(e) > 99)) - 2
                              for e in range(-300, 301)]),
-            exponent=np.frombuffer(b"".join(  # bytes 40..47, by exponent e + 300
-                b"\xff\xff\xff%03d\xff\xff" % abs(e) for e in range(-300, 301)), np.uint64),
-            lead=pairs.take([*range(10), 1]),  # "0d" by the leading digit, and "01" for 10
-            quads=quads.view(np.uint64).ravel(),
+            exponent=np.frombuffer(b"".join(  # bytes 24..31, by exponent e + 300
+                b"\xff\xff%03d\xff\xff\xff" % abs(e) for e in range(-300, 301)), np.uint64),
+            lead=np.frombuffer(b"".join(b"\xff\xff%d\xff" % d for d in [*range(10), 1]), np.uint32),
+            quads=quads.view(np.uint32).ravel(),
             sig=sig,
             pow10=np.full((4, 601), np.nan),  # filled as exponents e + 300 turn up
         )
@@ -252,11 +257,11 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _format(values: np.ndarray) -> np.ndarray:
-    """The bytes of ``"%.17g" % v`` for each value, spread over 48 bytes with zeros to drop.
+    """The bytes of ``"%.17g" % v`` for each value, spread over 32 bytes with zeros to drop.
 
-    Each ``|v|`` in [1e-280, 1e280] is scaled exactly enough to round to 17
-    digits; a zero, any other ``|v|``, and a scaled fraction within 1e-6 of a
-    half (every exact tie among them) are formatted by ``"%.17g"`` itself.
+    Each ``|v|`` in [1e-280, 1e280] is scaled exactly enough to round to 17 digits; a zero,
+    any other ``|v|``, and a scaled fraction within 1e-6 of a half (every exact tie) go to
+    ``"%.17g"`` itself.  From 10 to 1e16, the digits after a dot move one byte to make room.
     """
     tables = _tables()
     x = values.ravel()
@@ -290,13 +295,18 @@ def _format(values: np.ndarray) -> np.ndarray:
     del sig, d
     out = tables["template"].take(t, axis=0)
     words = out.view(np.uint64)
-    words[:, 5] &= tables["exponent"].take(e)
-    out.view(np.uint32)[:, 1] &= tables["lead"].take(lead)  # its "0" meets "0.000"
-    for j, group in enumerate(quads, 1):  # one 2-d &= is slower
-        words[:, j] &= tables["quads"].take(group)
+    out.view(np.uint32)[:, 1] &= tables["lead"].take(lead)  # bytes 4..7; "1" where lead is 10
+    words[:, 3] &= tables["exponent"].take(e)
+    for j, group in enumerate(quads, 2):  # one 2-d &= is slower
+        out.view(np.uint32)[:, j] &= tables["quads"].take(group)
+    rows = np.flatnonzero(tables["dotted"].take(t))
+    if rows.size:  # a dot after digit k + 1 of exponent k: the digits after it move one byte
+        moved = np.roll(out[rows], 1, axis=1).view(np.uint64)  # the last digit to byte 24
+        below, above, dot = tables["dot"].take(e.take(rows) - 300, axis=1)
+        words[rows, 1:] = words[rows, 1:] & below | moved[:, 1:] & above | dot
     for i in ties:
-        out[i] = np.frombuffer((b"%.17g" % x[i]).ljust(48, b"\0"), np.uint8)
-    return out.reshape(values.shape + (48,))
+        out[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), np.uint8)
+    return out.reshape(values.shape + (32,))
 
 
 def _write_rows(
@@ -325,12 +335,12 @@ def _write_rows(
                         continue
                     fields = _format(np.stack([column[a:b] for column in own[f]], axis=1))
                     # a row of fields a row of the file; a field's last byte takes its separator
-                    buf = bytearray((b - a) * (3 + width) * 48)
-                    block = np.frombuffer(buf, np.uint8).reshape(b - a, 3 + width, 48)
+                    buf = bytearray((b - a) * (3 + width) * 32)
+                    block = np.frombuffer(buf, np.uint8).reshape(b - a, 3 + width, 32)
                     block[:, :3] = prefixes[a - start:b - start]
                     block[:, 3:] = fields
-                    block[:, :, 47] = ord(",")
-                    block[:, -1, 47] = ord("\n")
+                    block[:, :, 31] = ord(",")
+                    block[:, -1, 31] = ord("\n")
                     del fields  # before the text
                     if f not in handles:  # "w" drops an earlier run's rows
                         handles[f] = open(paths[f], "wb")

@@ -941,7 +941,7 @@ class TestFormatter:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fields = cli._format(values)
-        assert fields.shape == (3, 4, 48)
+        assert fields.shape == (3, 4, 32)
         assert _fields(values.ravel()) == _percent_17g(values.ravel())
 
     def test_every_digit_count_in_every_layout(self):
@@ -967,6 +967,42 @@ class TestFormatter:
         cells = {(k, layout, sign) for k in range(1, 18) for layout in layouts
                  for sign in (False, True)}
         assert cells - {_digits_and_layout(text) for text in expected} == set()
+
+    # Every fixed-notation exponent, both exponent forms and both signs, through the
+    # writer.  A block of 40 values, 13 rows of 2 own columns, cuts rows in the middle
+    # of formatter calls; on two CPUs the split, row 33 of file 1, falls inside one too.
+    # The last column holds 17-digit values at exponent 15: the dot moves their last
+    # digit next to the newline.
+    @polls_children
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_layout_through_the_writer(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_SIGNALS_BLOCK", 40)
+        rng = np.random.default_rng(24)
+        n, files = 64, 3
+
+        def decimals(exponents):  # 1 to 17 significant digits, either sign
+            return np.array([f"{rng.choice(['', '-'])}{rng.integers(1, 10)}."
+                             f"{''.join(map(str, rng.integers(0, 10, rng.integers(0, 17))))}e{k}"
+                             for k in exponents.tolist()], float)
+
+        fixed = np.arange(n) % 21 - 4
+        signs = rng.choice([-1, 1], (2, n))
+        shared = [decimals(fixed), decimals(rng.integers(5, 100, n) * signs[0]),
+                  decimals(rng.integers(100, 280, n) * signs[1])]
+        own = [[decimals(np.roll(fixed, 7 * f + 1)), rng.uniform(1e15, 1.1e15, n) * signs[f % 2]]
+               for f in range(files)]
+        paths = [tmp_path / f"{f}.csv" for f in range(files)]
+        cli._write_signals(paths, "h\n", shared, own)
+        texts = []
+        for path, columns in zip(paths, own):
+            rows = [[b"%.17g" % v for v in row] for row in np.stack(shared + columns, 1).tolist()]
+            assert path.read_bytes() == b"h\n" + b"".join(b",".join(row) + b"\n" for row in rows)
+            texts += [text for row in rows for text in row]
+        layouts = {layout for _, layout, _ in map(_digits_and_layout, texts)}
+        assert layouts >= {*range(-4, 17), (b"-", 2), (b"-", 3), (b"+", 2), (b"+", 3)}
+        last = {_digits_and_layout(b"%.17g" % v) for columns in own for v in columns[-1].tolist()}
+        assert {(17, 15, False), (17, 15, True)} <= last
 
     def test_writer_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
         # one file of n rows, the ex2-large shape, written by this process alone;
@@ -1008,6 +1044,30 @@ class TestFormatter:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+    # ex1-sweep's shape, 100 files of 256 rows with 4 own columns, in one process: one
+    # call formats a file's own columns, and one the shared columns of each group of
+    # _OPEN_FILES files, at the old block and the module's (None).  So the block's size
+    # does not reach this shape, and a larger block costs it no memory.
+    @pytest.mark.parametrize("block", [1536, None])
+    def test_one_formatter_call_per_file_at_the_sweep_shape(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        if block is not None:
+            monkeypatch.setattr(cli, "_SIGNALS_BLOCK", block)
+        real, shapes = cli._format, []
+
+        def counted(values):
+            shapes.append(values.shape)
+            return real(values)
+
+        monkeypatch.setattr(cli, "_format", counted)
+        n, files = 256, 100
+        rng = np.random.default_rng(n)
+        shared = [np.arange(n) * (10 / n), rng.normal(size=n), rng.normal(size=n)]
+        own = [[rng.normal(size=n) for _ in range(4)] for _ in range(files)]
+        cli._write_signals([tmp_path / f"{f}.csv" for f in range(files)], "h\n", shared, own)
+        groups = -(-files // cli._OPEN_FILES)
+        assert sorted(shapes) == [(n, 3)] * groups + [(n, 4)] * files
 
 
 # every system call the signals writer makes
