@@ -24,12 +24,17 @@ the middle and then a completion mark; without the mark, or with no child (the
 fork failing too), the run writes them.  Both processes format the signals
 floats with NumPy into the bytes of ``"%.17g"``, and hand to ``"%.17g"`` itself
 the values they cannot place: zeros, magnitudes outside [1e-280, 1e280], and
-near-ties at the 17th digit.
+near-ties at the 17th digit.  Under glibc, :func:`main` first sets malloc's
+mmap threshold to 32 MiB and its trim threshold to 64 MiB, so the n-point
+arrays one stage frees stay in the heap for the next instead of going back to
+the kernel, to be faulted in again as zeroed pages; library calls, such as
+:func:`run_experiment`, leave their caller's allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -452,7 +457,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                               (grid.n * loudest * loudest,
                                f"eps: noise level {loudest:g} is too large to score")):
         try:
-            _score(run, [noise_sq])
+            delta = _score(run, [noise_sq])[0][0]
+            if delta >= 2.0 ** 53:  # 1 + delta rounds: whether delta_max > delta is chance
+                raise ConfigError(f"{refusal}: its expected delta {delta!r} is not below 2**53")
         except ValueError as exc:
             if noise_sq or math.isfinite(run.c_bound):  # else a filtered row met an overflowed norm
                 raise ConfigError(f"{refusal}: {exc}") from exc
@@ -653,9 +660,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep a run's freed arrays in its heap, for the next stage to reuse.
+
+    By default glibc maps large blocks apart and trims the heap's free top,
+    under thresholds that start small and grow only as blocks are freed, so
+    the n-point arrays of one stage are handed back to the kernel and the next
+    stage faults in fresh zeroed pages.  Setting both thresholds fixes them:
+    blocks below 32 MiB come from the heap, and its top is trimmed only past
+    64 MiB free.  Setting either one alone stops glibc from raising the other.
+    A libc other than glibc, or a refused setting, changes nothing.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr, name or symbol
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD; 0 if refused, then nothing is set
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_memory()  # a command-line run's own process: library calls leave malloc alone
     where = "while building the run settings"
     try:
         # floating-point trouble ends in an error or a guard failure, not a warning

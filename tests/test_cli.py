@@ -5,12 +5,14 @@ import io
 import json
 import math
 import os
+import platform
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -245,6 +247,9 @@ class TestMainExitCodes:
             ([], {"out": 5}, 2, "error: out:"),
             (["--p", "400"], None, 2, "error: smoothness order p"),
             (["--eps", "2e15"], None, 2, "error: eps: noise level 2e+15 is too large"),
+            # 1 + delta rounds up at this level's expected delta, but not at every drawn one
+            (["--eps", "3e15"], None, 2, "error: eps: noise level 3e+15 is too large to score: "
+             "its expected delta 9486832980505138.0 is not below 2**53\n"),
             ([], {"p": True}, 2, "error: p: expected a number"),
             (["--alpha", "1.5"], None, 2, "error: alpha must lie in (0, 1]"),
             # the Sobolev weight is finite at p = 356 on this grid, but not the weighted
@@ -414,6 +419,50 @@ class TestMainExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert (tmp_path / "errors.csv").exists()
+
+    # Under glibc's default thresholds each freed n-point array goes back to the kernel,
+    # and the next stage faults in fresh pages: about 0.13 faults a sample at n = 2**16.
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's thresholds")
+    def test_a_run_reuses_its_freed_memory(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        n = 2**16
+        script = (
+            "import resource, sys\n"
+            "import fracsrc.cli as cli\n"
+            "cli._cpu_count = lambda: 1\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", "--example", "2", "--n", str(n),
+             "--eps", "0.1", "--seeds", "1", "--filters", "naive,r1,r2,r3",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stderr)
+        assert faults <= 0.1 * n, faults
+
+    # The trim threshold is set only after the mmap threshold is taken, and only main
+    # sets either: a library run leaves its caller's allocator alone.
+    @pytest.mark.parametrize("taken", [1, 0])
+    def test_thresholds_are_set_by_main_alone(self, tmp_path, monkeypatch, taken):
+        calls = []
+
+        def mallopt(*args):
+            calls.append(args)
+            return taken
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        argv = ["run", "--example", "1", "--n", "8", "--eps", "0.1", "--seeds", "1"]
+        cfg = cli._build_config(cli._build_parser().parse_args(argv + ["--out", str(tmp_path)]))
+        run_experiment(cfg)
+        assert calls == []
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)][:1 + taken]
 
     # The read end is closed before the run starts, so the summary meets a broken
     # pipe, written through at once or, buffered, flushed at the end of main.
