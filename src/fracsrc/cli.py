@@ -11,14 +11,12 @@ and writes three kinds of plain-CSV files into the output directory:
 Every run setting is declared once, in :data:`SETTINGS`; its flag, its JSON
 config key and its parsing all come from that entry.  Floats are serialized
 with 17 significant digits, so identical configurations produce
-byte-identical files.  Exit codes: 0 on success, 2 on configuration errors
-and unwritable outputs, 3 when an internal consistency guard fires (a
-:class:`SymmetryError`, or a numeric precondition of the library raising
-``ValueError``, such as a noise draw far louder than its level's expected
-norm) or the run does not fit in memory.  :class:`ExperimentConfig` checks the
-settings; :func:`run_experiment` takes the sweep's record from ``pipeline._measure``
-(medium, grid, source norm) and scores its least-noise and loudest expected rows
-with ``pipeline._score`` before any noise or file, then hands it to ``_sweep``.
+byte-identical files.  Exit codes: 0 on success, 2 on configuration errors,
+noise levels too loud to score and unwritable outputs, 3 when an internal
+consistency guard fires (a :class:`SymmetryError` or another library
+``ValueError``) or the run does not fit in memory.  :func:`run_experiment`
+scores the least-noise row of ``pipeline._measure``'s record before any noise,
+then names the level whose drawn rows ``_sweep`` refuses, before any file.
 With more than one CPU, a forked child writes the signals rows from one past
 the middle and then a completion mark; without the mark, or with no child (the
 fork failing too), the run writes them.  Both processes format the signals
@@ -47,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pipeline import CellResult, ErrorRow, _check_filters, _measure, _score, _sweep
+from .pipeline import CellResult, ErrorRow, _Unscorable, _check_filters, _measure, _score, _sweep
 from .regularize import FilterKind
 from .spectral import RealSignal, SymmetryError, TimeGrid
 from .symbols import MediumParams
@@ -99,7 +97,9 @@ class ExperimentConfig:
         if not self.eps_list:
             raise ConfigError("eps list must not be empty")
         for eps in self.eps_list:
-            if not (math.isfinite(eps) and math.copysign(1.0, eps) > 0.0):  # -0 too
+            if not math.isfinite(eps):
+                raise ConfigError(f"noise levels must be finite, got {eps!r}")
+            if math.copysign(1.0, eps) < 0.0:  # -0 too
                 raise ConfigError(f"noise levels must be nonnegative, got {eps!r}")
         # signals files are named by the level's 6-digit form
         labels = {f"{eps:g}" for eps in self.eps_list}
@@ -450,26 +450,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         run = _measure(f_true, cfg.params, cfg.p, cfg.filters)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the sweep's scoring of the least-noise row (mu grows with delta: can p score it?)
-    # and of the loudest level's expected row, whose sum(eta^2) is n eps^2
-    loudest = max(cfg.eps_list)
-    for noise_sq, refusal in ((0.0, "smoothness order p is too large for this source"),
-                              (grid.n * loudest * loudest,
-                               f"eps: noise level {loudest:g} is too large to score")):
-        try:
-            delta = _score(run, [noise_sq])[0][0]
-            if delta >= 2.0 ** 53:  # 1 + delta rounds: whether delta_max > delta is chance
-                raise ConfigError(f"{refusal}: its expected delta {delta!r} is not below 2**53")
-        except ValueError as exc:
-            if noise_sq or math.isfinite(run.c_bound):  # else a filtered row met an overflowed norm
-                raise ConfigError(f"{refusal}: {exc}") from exc
-            if math.isfinite(_measure(f_true, cfg.params, 5e-324, ()).c_bound):  # least p > 0
-                raise ConfigError(f"{refusal}: its H^p norm overflows at p = {cfg.p:g}") from exc
-            raise ConfigError(
-                "t_max: the source's H^p norm overflows at every p > 0 "
-                f"with t_max = {cfg.t_max:g} and n = {cfg.n}"
-            ) from exc
-    cells = _sweep(run, cfg.eps_list, cfg.seed_ids, cfg.master_seed)
+    try:  # the sweep's scoring of the least-noise row: mu grows with delta, so can p score it?
+        _score(run, [0.0])
+    except ValueError as exc:
+        reason = str(exc)
+        if not math.isfinite(run.c_bound):  # a filtered row met an overflowed norm
+            if not math.isfinite(_measure(f_true, cfg.params, 5e-324, ()).c_bound):  # least p > 0
+                raise ConfigError("t_max: the source's H^p norm overflows at every p > 0 "
+                                  f"with t_max = {cfg.t_max:g} and n = {cfg.n}") from exc
+            reason = f"its H^p norm overflows at p = {cfg.p:g}"
+        raise ConfigError(f"smoothness order p is too large for this source: {reason}") from exc
+    try:  # every level is scored before any file is written
+        cells = _sweep(run, cfg.eps_list, cfg.seed_ids, cfg.master_seed)
+    except _Unscorable as exc:
+        raise ConfigError(f"eps: noise level {exc.epsilon:g} is too large to score: {exc}") from exc
     rows = tuple(row for cell in cells for row in cell.rows)
     # naive first in errors and signals, as run_cell orders estimates; last in summary
     selected = list(cells[0].estimates)

@@ -20,8 +20,8 @@ of those rows, are built on return; ``run_cell`` is the same code on one row.
 source, ``y`` and the source's Sobolev norm from its one transform, the settings,
 and the read-only ``Lambda`` and ``G(x0, .)`` tables on the grid's bins, sampled
 once per medium and grid (``_tables`` keeps the last pair for one-shot calls).
-``_score``, the one judge of which rows read that norm, takes a record and each
-row's noise to ``delta``, ``mu`` and bounds, for the sweep and the CLI alike.
+``_score``, the one judge of which rows can be scored, takes a record and each
+row's noise to ``delta``, ``mu`` and bounds; a level it refuses is ``_Unscorable``.
 """
 
 from __future__ import annotations
@@ -362,11 +362,21 @@ def _score(run: _Run, noise_sq: list[float] | np.ndarray) -> tuple[list, list, l
         RegParams(m, p, d, d_max)  # its checks; error_bound's on c_bound follows the first
         if not row and not (c_bound > 0.0 and math.isfinite(c_bound)):
             raise ValueError(f"c_bound must be a positive finite real, got {c_bound!r}")
+    if delta.max(initial=0.0) >= 2.0 ** 53:  # 1 + delta rounds: mu < 1 by chance
+        raise ValueError(f"delta must be below 2**53, got {float(delta.max())!r}")
     exponents = (2.0 / (p + 2.0), p / (p + 2.0), (p - 2.0) / (p + 2.0))
     max_term = np.array([max(r ** e for e in exponents) for r in (delta / delta_max).tolist()])
     bounds = {kind: ((c_bound + delta_max * const_m(kind, params.alpha, params)) * max_term)
               .tolist() for kind in kinds}
     return deltas, delta_maxes, mu, bounds
+
+
+class _Unscorable(ValueError):
+    """A noise level whose drawn rows cannot be scored; ``epsilon`` names it, not the message."""
+
+    def __init__(self, epsilon: float, exc: ValueError) -> None:
+        super().__init__(str(exc))
+        self.epsilon = epsilon
 
 
 def _run_cells(
@@ -378,10 +388,14 @@ def _run_cells(
     stack = np.zeros((len(seeds), run.y.grid.n))  # the noise, then y_noisy
     for row, (_, _, words) in zip(stack, seeds):
         row[:] = _draw(words, epsilon, run.y.grid.n)
-    noise_sq = np.sum(stack * stack, axis=-1)
+    with np.errstate(over="ignore"):  # _score refuses an overflowed sum
+        noise_sq = np.sum(stack * stack, axis=-1)
     stack += run.y.samples
-    y_noisy = RealSignal(run.y.grid, stack)
-    delta, delta_max, mu, bounds = _score(run, noise_sq)
+    try:
+        y_noisy = RealSignal(run.y.grid, stack)
+        delta, delta_max, mu, bounds = _score(run, noise_sq)
+    except ValueError as exc:
+        raise _Unscorable(epsilon, exc) from exc
     spectrum = dft(y_noisy)
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
     if "naive" in run.filters:

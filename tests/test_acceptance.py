@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsrc.cli import main, preset_source
 from fracsrc.pipeline import run_cell, run_sweep, synthesize_data
@@ -294,6 +296,27 @@ def test_criterion_7_error_bound_certificate(sweeps):
         f"worst error/bound ratio {worst:.3e}",
     )
     assert ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    omega=st.floats(1e-3, 10.0), beta=st.floats(1e-2, 10.0), nu=st.floats(1e-2, 10.0),
+    alpha=st.floats(0.05, 1.0), x0=st.floats(0.1, 20.0), source=st.sampled_from(["square", "exp"]),
+    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]), n=st.sampled_from([64, 256]),
+    eps=st.floats(1e-3, 0.1), master_seed=st.integers(0, 2**64),
+)
+def test_error_bound_holds_over_the_input_box(omega, beta, nu, alpha, x0, source, p, n, eps,
+                                              master_seed):
+    # criterion 7's certificate on any medium of the box, not only at the presets
+    params = MediumParams(omega=omega, beta=beta, nu=nu, alpha=alpha, x0=x0)
+    f_true = preset_source(source, TimeGrid(n, 10.0))
+    try:
+        cells = run_sweep(f_true, params, p, (eps,), (0, 1), FILTERS, master_seed)
+    except ValueError:  # a refusal, before any row is scored
+        return
+    norm = l2_norm(f_true)
+    for row in (row for cell in cells for row in cell.rows):
+        assert row.rel_err * norm <= row.theory_bound, row
 
 
 def test_criterion_8_byte_identical_outputs(tmp_path):

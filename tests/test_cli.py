@@ -247,9 +247,15 @@ class TestMainExitCodes:
             ([], {"out": 5}, 2, "error: out:"),
             (["--p", "400"], None, 2, "error: smoothness order p"),
             (["--eps", "2e15"], None, 2, "error: eps: noise level 2e+15 is too large"),
-            # 1 + delta rounds up at this level's expected delta, but not at every drawn one
+            # the drawn row's 1 + delta rounds down to delta
             (["--eps", "3e15"], None, 2, "error: eps: noise level 3e+15 is too large to score: "
-             "its expected delta 9486832980505138.0 is not below 2**53\n"),
+             "need 0 < delta < delta_max, got delta=1.1345862096215944e+16, "
+             "delta_max=1.1345862096215944e+16\n"),
+            # here it rounds up to delta + 2, and mu < 1 at p = 0.1: whether it does is chance
+            (["--eps", "2.5e15", "--p", "0.1"], None, 2, "error: eps: noise level 2.5e+15 is too "
+             "large to score: delta must be below 2**53, got 9454885080179954.0\n"),
+            (["--eps", "inf"], None, 2, "error: noise levels must be finite, got inf\n"),
+            (["--eps", "nan"], None, 2, "error: noise levels must be finite, got nan\n"),
             ([], {"p": True}, 2, "error: p: expected a number"),
             (["--alpha", "1.5"], None, 2, "error: alpha must lie in (0, 1]"),
             # the Sobolev weight is finite at p = 356 on this grid, but not the weighted
@@ -296,6 +302,31 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("master_seed", [1, 12345, 2**70])
+    @pytest.mark.parametrize("example", [1, 2])
+    def test_loud_levels_run_then_are_refused_naming_eps(self, tmp_path, capsys, example,
+                                                        master_seed):
+        # past the loudest level whose drawn rows the rule can score, every level exits 2
+        argv = ["run", "--example", str(example), "--n", "8", "--seeds", "3",
+                "--master-seed", str(master_seed), "--out", str(tmp_path / "out")]
+        codes = ""
+        for eps in np.logspace(14, 17, 61):
+            codes += str(main(argv + ["--eps", repr(float(eps))]))
+            err = capsys.readouterr().err
+            if codes[-1] == "0":
+                assert err == "", (eps, err)
+            else:
+                assert err.startswith(f"error: eps: noise level {eps:g} is too large to score: ")
+                assert err.count("\n") == 1, err
+        zeros = codes.count("0")
+        assert codes == "0" * zeros + "2" * (61 - zeros) and 0 < zeros < 61, codes
+
+    @pytest.mark.parametrize("flags", [["--eps", "3e15"], ["--t-max", "1e300"]])
+    def test_naive_rows_are_scored_at_any_finite_delta(self, tmp_path, flags):
+        # delta < delta_max is the filters' rule; naive inversion does not read it
+        assert main(["run", "--example", "1", "--n", "8", "--seeds", "1", "--eps", "0.1",
+                     "--filters", "naive", *flags, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "example, n, runs, refused",
