@@ -541,6 +541,12 @@ def _list(item: Callable) -> Callable:
     return parse
 
 
+def _out(value) -> Path:
+    if value == "":  # Path("") is the working directory
+        raise ValueError("expected a directory, got empty text")
+    return Path(value)
+
+
 def _seeds(value) -> tuple[int, ...]:
     """A count expands to identifiers 0..count-1; a list is taken as is."""
     if isinstance(value, list) or (isinstance(value, str) and "," in value):
@@ -581,7 +587,7 @@ SETTINGS = {
                    "comma list of noise levels", "eps_list"),
     "seeds": Setting(_seeds, 20, "seed count, or comma list of seed identifiers", "seed_ids"),
     "master_seed": Setting(_int, 12345, "root of the per-cell noise seeds"),
-    "out": Setting(Path, "fracsrc-out", "output directory", "out_dir"),
+    "out": Setting(_out, "fracsrc-out", "output directory", "out_dir"),
 }
 
 
@@ -698,12 +704,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     labels = list(report.summary[0])[1:]
+    table = [["epsilon", *labels]] + [
+        [f"{entry['epsilon']:.3g}", *(f"{entry[label]:.4f}" for label in labels)]
+        for entry in report.summary
+    ]
+    widths = [max(10, *map(len, column)) for column in zip(*table)]
     try:
         print("seed-averaged relative errors")
-        print("  ".join(["epsilon".rjust(10)] + [label.rjust(10) for label in labels]))
-        for entry in report.summary:
-            cells = [f"{entry[label]:>10.4f}" for label in labels]
-            print("  ".join([f"{entry['epsilon']:>10.3g}", *cells]))
+        for row in table:
+            print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
         print(f"wrote {len(report.files)} files to {cfg.out_dir}", flush=True)
     except OSError as exc:  # such as a closed pipe or a full disk
         # Python flushes stdout again at exit: send what is left to devnull (signal's docs)

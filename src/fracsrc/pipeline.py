@@ -19,14 +19,13 @@ of those rows, are built on return; ``run_cell`` is the same code on one row.
 ``_measure`` puts what every level of a sweep shares in one ``_Run`` record: the
 source, ``y`` and the source's Sobolev norm from its one transform, the settings,
 and the read-only ``Lambda`` and ``G(x0, .)`` tables on the grid's bins, sampled
-once per medium and grid (``_tables`` keeps the last pair for one-shot calls).
+once per run; each one-shot call samples its own, and no module-level store keeps any.
 ``_score``, the one judge of which rows can be scored, takes a record and each
 row's noise to ``delta``, ``mu`` and bounds; a level it refuses is ``_Unscorable``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -131,9 +130,8 @@ class _Tables(NamedTuple):
     kernel: np.ndarray  # G(x0, .)
 
 
-@functools.lru_cache(maxsize=1)  # a run holds its own; this serves repeated one-shot calls
 def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
-    """Tables for one (medium, grid); raises ValueError if Lambda or G is not finite or G is 0."""
+    """Sample one (medium, grid)'s tables; ValueError if Lambda or G is not finite or G is 0."""
     with np.errstate(all="ignore"):
         xi = grid.frequencies()
         inverse, kernel = symbol_tables(xi, params)
@@ -148,12 +146,12 @@ def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
 
 def synthesize_data(f: RealSignal, params: MediumParams) -> RealSignal:
     """Exact measurement at the sensor: ``y`` with ``y_hat = G(x0, .) f_hat``."""
-    return _synthesize(dft(f), params)
+    return _synthesize(dft(f), _tables(params, f.grid).kernel)
 
 
-def _synthesize(f_hat: Spectrum, params: MediumParams) -> RealSignal:
-    """``synthesize_data`` of the source whose transform is ``f_hat``."""
-    return idft(apply_multiplier(f_hat, _tables(params, f_hat.grid).kernel))
+def _synthesize(f_hat: Spectrum, kernel: np.ndarray) -> RealSignal:
+    """``synthesize_data`` of the source whose transform is ``f_hat``, through ``kernel``."""
+    return idft(apply_multiplier(f_hat, kernel))
 
 
 def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
@@ -337,8 +335,9 @@ def _measure(
     f_hat = dft(f_true)
     with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
         c_bound = float(hp_norm(f_hat, p))
-    y = _synthesize(f_hat, params)  # the n complex bins die on return
-    return _Run(f_true, y, c_bound, params, p, filters, _tables(params, f_true.grid))
+    tables = _tables(params, f_true.grid)
+    y = _synthesize(f_hat, tables.kernel)  # the n complex bins die on return
+    return _Run(f_true, y, c_bound, params, p, filters, tables)
 
 
 def _score(run: _Run, noise_sq: list[float] | np.ndarray) -> tuple[list, list, list, dict]:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import signal
 import subprocess
@@ -194,7 +195,6 @@ class TestConfigValidation:
         ],
     )
     def test_degenerate_medium_or_grid_warns_nothing(self, tmp_path, overrides):
-        pipeline._tables.cache_clear()  # a cached entry would skip the evaluation
         out = tmp_path / "out"
         cfg = ExperimentConfig(**self.base_kwargs(out_dir=out, **overrides))
         with warnings.catch_warnings():
@@ -245,6 +245,9 @@ class TestMainExitCodes:
             ([], {"seeds": [True]}, 2, "error: seeds:"),
             ([], {"example": True}, 2, "error: example:"),
             ([], {"out": 5}, 2, "error: out:"),
+            # Path("") is the working directory: empty text names none
+            (["--out", ""], None, 2, "error: out: expected a directory, got empty text\n"),
+            ([], {"out": ""}, 2, "error: out: expected a directory, got empty text\n"),
             (["--p", "400"], None, 2, "error: smoothness order p"),
             (["--eps", "2e15"], None, 2, "error: eps: noise level 2e+15 is too large"),
             # the drawn row's 1 + delta rounds down to delta
@@ -290,7 +293,9 @@ class TestMainExitCodes:
              "error: filter labels must be distinct, got ('naive', 'r1', 'naive')\n"),
         ],
     )
-    def test_bad_input_exits_with_one_line(self, tmp_path, capsys, flags, config, code, prefix):
+    def test_bad_input_exits_with_one_line(self, tmp_path, monkeypatch, capsys, flags, config,
+                                           code, prefix):
+        monkeypatch.chdir(tmp_path)  # where an empty output directory would write
         argv = ["run", "--n", "8", "--seeds", "1", "--eps", "0.1"]
         if config is None:
             argv += ["--example", "1", "--out", str(tmp_path / "out"), *flags]
@@ -375,6 +380,30 @@ class TestMainExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out:") and err.count("\n") == 1, err
+
+    def test_summary_table_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--example", "1", "--n", "8", "--seeds", "1", "--eps", "0.1",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "seed-averaged relative errors\n"
+            "   epsilon          r1          r2          r3\n"
+            "       0.1      0.3437      0.4564      0.2268\n"
+            f"wrote 3 files to {out}\n"
+        )
+
+    def test_summary_table_aligns_wide_values(self, tmp_path, capsys):
+        # naive inversion at a loud level averages to a 22-character error
+        assert main(["run", "--example", "1", "--filters", "naive", "--eps", "3e15,0.1",
+                     "--n", "8", "--seeds", "2", "--out", str(tmp_path / "out")]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[1:-1]
+        assert len(rows) == 2 and max(map(len, rows[0].split())) > 10, rows
+        assert {len(line) for line in [header, *rows]} == {len(header)}
+
+        def ends(line):
+            return [match.end() for match in re.finditer(r"\S+", line)]
+
+        assert [ends(line) for line in rows] == [ends(header)] * 2  # each value under its header
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -629,6 +658,28 @@ class TestRunExperiment:
                      "--seeds", "2", "--out", str(tmp_path)]) == 0
         assert len(calls) == len(transforms) == 1
         assert norms == [1.0]  # the norm at p is finite: no second norm at the least p
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda out, f: main(["run", "--example", "1", "--n", "8", "--eps", "0.1,0.01",
+                                 "--seeds", "2", "--out", str(out)]) == 0,
+            lambda out, f: pipeline.run_sweep(f, EX1_PARAMS, 1.0, (0.1, 0.01), (0, 1),
+                                              ("naive", "r1", "r2", "r3"), 7),
+            # the source stands in for its measurement: only the tables are counted
+            lambda out, f: pipeline.run_cell(f, f, EX1_PARAMS, 1.0, 0.1, 0, 7,
+                                             ("naive", "r1", "r2", "r3"), 1.0),
+        ],
+        ids=["cli", "run_sweep", "run_cell"],
+    )
+    def test_a_run_samples_its_tables_once(self, tmp_path, monkeypatch, entry):
+        # a run's record holds its tables, so none of its stages samples them again
+        f = preset_source("square", TimeGrid(8, 10.0))
+        sampled, real = [], pipeline.symbol_tables
+        monkeypatch.setattr(pipeline, "symbol_tables",
+                            lambda xi, params: sampled.append(xi.size) or real(xi, params))
+        assert entry(tmp_path, f)
+        assert sampled == [8]
 
     def test_report_object(self, tmp_path):
         cfg = ExperimentConfig(

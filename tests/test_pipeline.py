@@ -120,7 +120,6 @@ class TestTables:
         ids=["synthesize_data", "run_sweep"],
     )
     def test_degenerate_medium_raises_without_warning(self, square, entry):
-        _tables.cache_clear()  # a cached entry would skip the evaluation
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape("Lambda or G(x0, .)")):
@@ -128,7 +127,6 @@ class TestTables:
 
     def test_shared_and_read_only(self):
         tables = _tables(EX1, TimeGrid(256, 10.0))
-        assert _tables(EX1, GRID) is tables
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
@@ -556,12 +554,10 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
 
 
-def test_table_cache_holds_one_grid():
-    # a run holds its own tables, so the cache keeps only the last (medium, grid):
-    # sweeps on five grids leave what a sweep on the largest leaves (its tables,
-    # about 2.6 MB), not the sum over the grids (about 5.1 MB)
+def test_a_sweep_holds_no_tables_after_it_returns():
+    # a run's record is the only holder of its tables, so nothing of a sweep stays
+    # live once it returns; at 2^16 its tables alone are about 2.6 MB
     def held(sizes):
-        _tables.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -572,8 +568,9 @@ def test_table_cache_holds_one_grid():
         finally:
             tracemalloc.stop()
 
-    held([256])  # one-time allocations, such as lazy imports, are not the cache's
-    assert abs(held([1 << k for k in range(12, 17)]) - held([1 << 16])) <= 0.5e6
+    held([256])  # one-time allocations, such as lazy imports, are not a sweep's
+    assert held([1 << k for k in range(12, 17)]) <= 0.1e6
+    assert held([1 << 16]) <= 0.1e6
 
 
 def test_traced_peak_per_bin_of_a_one_cell_run():
@@ -590,7 +587,6 @@ def test_traced_peak_per_bin_of_a_one_cell_run():
 
     one_cell(GRID)  # one-time allocations, such as lazy imports, are not per bin
     n = 1 << 16
-    _tables.cache_clear()  # the sweep samples its tables, as a run does
     tracemalloc.start()
     try:
         source_peak, sweep_peak = one_cell(TimeGrid(n, 10.0))
