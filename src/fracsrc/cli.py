@@ -47,7 +47,7 @@ import numpy as np
 
 from .pipeline import CellResult, ErrorRow, _Unscorable, _check_filters, _measure, _score, _sweep
 from .regularize import FilterKind
-from .spectral import RealSignal, SymmetryError, TimeGrid
+from .spectral import RealSignal, SymmetryError, TimeGrid, dft, hp_norm
 from .symbols import MediumParams
 
 __all__ = [
@@ -155,7 +155,6 @@ class ExperimentReport:
 
 # Values a "%.17g" call takes: as many as test_writer_memory_does_not_grow_with_the_grid allows.
 _SIGNALS_BLOCK = 7168
-_OPEN_FILES = 32  # signals files a process keeps open at once
 _TABLES: dict[str, np.ndarray] = {}  # the formatter's, built by _tables on first use
 
 
@@ -318,45 +317,45 @@ def _write_rows(
     lo: int, hi: int, paths: list[Path | int], header: str,
     shared: list[np.ndarray], own: list[list[np.ndarray]],
 ) -> None:
-    """Write rows ``[lo, hi)`` of the signals files, opening each file once.
+    """Write rows ``[lo, hi)`` of the signals files, block by block, one file open at a time.
 
-    Every file has the ``shared`` columns, formatted once per block of rows and
-    ``_OPEN_FILES`` files, and file ``f`` its ``own[f]``, formatted per block.
-    A path may be an open descriptor, which is closed after its file's last row;
-    only such a file may begin before ``lo``, and it gets no header (a name opens "wb").
+    A block formats the ``shared`` columns once for every file, and file ``f`` its ``own[f]``.
+    A file's first row opens it "wb", dropping an earlier run's rows, under the header, and
+    a later block reopens it "ab".  A path may be an open descriptor, which stays open; only
+    such a file may begin before ``lo``.  The file written last stays open until the next.
     """
     n, width = len(shared[0]), len(own[0])
     step = max(1, _SIGNALS_BLOCK // max(width, 3))  # rows a formatter call takes
-    ends, handles = (hi - 1) // n + 1, {}  # the open files, by index
+    files = range(lo // n, (hi - 1) // n + 1)
+    fh = held = None  # the file written last, and its index
     try:
-        for first in range(lo // n, ends, _OPEN_FILES):
-            last = min(first + _OPEN_FILES, ends) - 1
-            for start in range(max(0, lo - last * n), min(n, hi - first * n), step):
-                stop = min(start + step, n, hi - first * n)
-                prefixes = _format(np.stack([column[start:stop] for column in shared], axis=1))
-                for f in range(first, last + 1):
-                    a, b = max(start, lo - f * n), min(stop, hi - f * n)
-                    if a >= b:
-                        continue
-                    fields = _format(np.stack([column[a:b] for column in own[f]], axis=1))
-                    # a row of fields a row of the file; a field's last byte takes its separator
-                    buf = bytearray((b - a) * (3 + width) * 32)
-                    block = np.frombuffer(buf, np.uint8).reshape(b - a, 3 + width, 32)
-                    block[:, :3] = prefixes[a - start:b - start]
-                    block[:, 3:] = fields
-                    block[:, :, 31] = ord(",")
-                    block[:, -1, 31] = ord("\n")
-                    del fields  # before the text
-                    if f not in handles:  # "w" drops an earlier run's rows
-                        handles[f] = open(paths[f], "wb")
-                        if not a:
-                            handles[f].write(header.encode())
-                    handles[f].write(buf.translate(None, b"\0"))
-                    del buf, block  # before the next file's
-                    if b == min(n, hi - f * n):  # its last row here
-                        handles.pop(f).close()
+        for start in range(max(0, lo - files[-1] * n), min(n, hi - files[0] * n), step):
+            stop = min(start + step, n, hi - files[0] * n)
+            prefixes = _format(np.stack([column[start:stop] for column in shared], axis=1))
+            for f in files:
+                a, b = max(start, lo - f * n), min(stop, hi - f * n)
+                if a >= b:
+                    continue
+                fields = _format(np.stack([column[a:b] for column in own[f]], axis=1))
+                # a row of fields a row of the file; a field's last byte takes its separator
+                buf = bytearray((b - a) * (3 + width) * 32)
+                block = np.frombuffer(buf, np.uint8).reshape(b - a, 3 + width, 32)
+                block[:, :3] = prefixes[a - start:b - start]
+                block[:, 3:] = fields
+                block[:, :, 31] = ord(",")
+                block[:, -1, 31] = ord("\n")
+                del fields  # before the text
+                if f != held:
+                    if fh is not None:
+                        fh.close()
+                    fh, held = open(paths[f], "ab" if a else "wb",
+                                    closefd=not isinstance(paths[f], int)), f
+                    if not a:
+                        fh.write(header.encode())
+                fh.write(buf.translate(None, b"\0"))
+                del buf, block  # before the next file's
     finally:
-        for fh in handles.values():
+        if fh is not None:
             fh.close()
 
 
@@ -390,12 +389,12 @@ def _write_signals(
 
     With more than one CPU on Linux, a forked child writes the rows from one past
     the middle, always inside a file, and this process the rows before.  The child
-    is given an anonymous file as that file's path, and once it has written its
-    last row it appends a NUL, which no row holds, to that file: a mark that a
-    lost exit status (SIGCHLD ignored) does not lose.  This process appends the
-    anonymous file less the mark to the file once the child is done.  Without the
-    mark it rewrites the child's rows from that file's first row, and with no
-    child it writes every row, so the bytes and errors are one process's.
+    writes that file's rows to an anonymous file's descriptor, left open, and then
+    appends a NUL, which no row holds: a mark that a lost exit status (SIGCHLD
+    ignored) does not lose.  This process appends the anonymous file less the
+    mark to the file once the child is done.  Without the mark it rewrites the
+    child's rows from that file's first row, and with no child it writes every
+    row, so the bytes and errors are one process's.
     """
     args = (header, shared, own)
     n = len(shared[0])
@@ -415,8 +414,8 @@ def _write_signals(
                 pass
             if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
                 status = 1
-                try:  # the copy is closed after its last row; the mark goes to the same file
-                    paths = [*paths[:split // n], os.dup(tail), *paths[split // n + 1:]]
+                try:
+                    paths = [*paths[:split // n], tail, *paths[split // n + 1:]]
                     _write_rows(split, total, paths, *args)
                     os.write(tail, b"\0")
                     status = 0
@@ -455,9 +454,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     except ValueError as exc:
         reason = str(exc)
         if not math.isfinite(run.c_bound):  # a filtered row met an overflowed norm
-            if not math.isfinite(_measure(f_true, cfg.params, 5e-324, ()).c_bound):  # least p > 0
-                raise ConfigError("t_max: the source's H^p norm overflows at every p > 0 "
-                                  f"with t_max = {cfg.t_max:g} and n = {cfg.n}") from exc
+            with np.errstate(all="ignore"):  # the norm at the least p > 0, as _measure takes it
+                if not math.isfinite(hp_norm(dft(f_true), 5e-324)):
+                    raise ConfigError("t_max: the source's H^p norm overflows at every p > 0 "
+                                      f"with t_max = {cfg.t_max:g} and n = {cfg.n}") from exc
             reason = f"its H^p norm overflows at p = {cfg.p:g}"
         raise ConfigError(f"smoothness order p is too large for this source: {reason}") from exc
     try:  # every level is scored before any file is written
@@ -705,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
 
     labels = list(report.summary[0])[1:]
     table = [["epsilon", *labels]] + [
-        [f"{entry['epsilon']:.3g}", *(f"{entry[label]:.4f}" for label in labels)]
+        [f"{entry['epsilon']:g}", *(f"{entry[label]:.4f}" for label in labels)]
         for entry in report.summary
     ]
     widths = [max(10, *map(len, column)) for column in zip(*table)]

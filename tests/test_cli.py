@@ -405,6 +405,16 @@ class TestMainExitCodes:
 
         assert [ends(line) for line in rows] == [ends(header)] * 2  # each value under its header
 
+    def test_summary_labels_are_the_file_labels(self, tmp_path, capsys):
+        # levels equal to 3 digits but not to 6 write distinct files, so distinct rows
+        out = tmp_path / "out"
+        assert main(["run", "--example", "1", "--n", "8", "--seeds", "1", "--eps",
+                     "0.1,0.1001,1.23456e-7,1.23457e-7", "--out", str(out)]) == 0
+        labels = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:-1]]
+        assert labels == ["0.1", "0.1001", "1.23456e-07", "1.23457e-07"]
+        assert sorted(path.name for path in out.glob("signals_*")) == sorted(
+            f"signals_{label}_0.csv" for label in labels)
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--frobnicate", "1"])
@@ -664,13 +674,18 @@ class TestRunExperiment:
         [
             lambda out, f: main(["run", "--example", "1", "--n", "8", "--eps", "0.1,0.01",
                                  "--seeds", "2", "--out", str(out)]) == 0,
+            # refused: the source's norm overflows at every p, read without a second _measure
+            lambda out, f: main(["run", "--example", "1", "--n", "8", "--t-max", "1e300",
+                                 "--out", str(out)]) == 2,
+            lambda out, f: main(["run", "--example", "1", "--n", "8", "--t-max", "1e-300",
+                                 "--out", str(out)]) == 2,
             lambda out, f: pipeline.run_sweep(f, EX1_PARAMS, 1.0, (0.1, 0.01), (0, 1),
                                               ("naive", "r1", "r2", "r3"), 7),
             # the source stands in for its measurement: only the tables are counted
             lambda out, f: pipeline.run_cell(f, f, EX1_PARAMS, 1.0, 0.1, 0, 7,
                                              ("naive", "r1", "r2", "r3"), 1.0),
         ],
-        ids=["cli", "run_sweep", "run_cell"],
+        ids=["cli", "cli-t-max-1e300", "cli-t-max-1e-300", "run_sweep", "run_cell"],
     )
     def test_a_run_samples_its_tables_once(self, tmp_path, monkeypatch, entry):
         # a run's record holds its tables, so none of its stages samples them again
@@ -936,26 +951,22 @@ class TestSignalsWriter:
         assert written[0] == written[1]
 
     # One file of 2^14 rows on one CPU, and 3 files of 2048 rows on two, split in
-    # the middle file: every file spans many formatter calls.  With _OPEN_FILES = 1
-    # a process has one file open at a time.  5 files of 8 rows on two, split in
-    # file 2: one block of rows holds several files.
+    # the middle file: every file spans many formatter calls.  5 files of 8 rows on
+    # two, split in file 2: one block of rows holds several files.
     @polls_children
-    @pytest.mark.parametrize("cpus, files, n, open_files", [
-        (1, 1, 2**14, None), (2, 3, 2048, None), (2, 3, 2048, 1), (2, 5, 8, None),
-    ])
-    def test_each_file_is_opened_once_per_process(self, tmp_path, monkeypatch, cpus, files, n,
-                                                  open_files):
+    @pytest.mark.parametrize("cpus, files, n", [(1, 1, 2**14), (2, 3, 2048), (2, 5, 8)])
+    def test_one_signals_file_is_open_at_a_time(self, tmp_path, monkeypatch, cpus, files, n):
         log, handles = tmp_path / "opens", []
 
-        def counted(file, *args, **kwargs):  # a forked child's opens land in the log too
+        def counted(file, mode, *args, **kwargs):  # a forked child's opens land in the log too
             name = "tail" if isinstance(file, int) else Path(file).name
             already = sum(not fh.closed for fh in handles)  # in this process
             fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
             try:
-                os.write(fd, f"{os.getpid()} {name} {already}\n".encode())
+                os.write(fd, f"{os.getpid()} {name} {mode} {already}\n".encode())
             finally:
                 os.close(fd)
-            handles.append(open(file, *args, **kwargs))
+            handles.append(open(file, mode, *args, **kwargs))
             return handles[-1]
 
         rng = np.random.default_rng(n)
@@ -970,16 +981,53 @@ class TestSignalsWriter:
                 patch.setattr(cli, "_cpu_count", lambda: cpus if counting else 1)
                 if counting:
                     patch.setattr(cli, "open", counted, raising=False)
-                    patch.setattr(cli, "_OPEN_FILES", open_files or cli._OPEN_FILES)
                 cli._write_signals(paths, "h\n", shared, own)
             written.append([path.read_bytes() for path in paths])
         assert written[0] == written[1]
         opens = [line.split() for line in log.read_text().splitlines()]
-        assert len({pid for pid, _, _ in opens}) == cpus
-        # each file once, and the tail of the middle one in the child
+        assert len({pid for pid, _, _, _ in opens}) == cpus
+        assert {int(already) for _, _, _, already in opens} == {0}, opens
+        # every file, and the tail of the middle one in the child
         expected = {f"{f}.csv" for f in range(files)} | ({"tail"} if cpus > 1 else set())
-        assert sorted(name for _, name, _ in opens) == sorted(expected), opens
-        assert max(int(already) for _, _, already in opens) < (open_files or cli._OPEN_FILES)
+        assert {name for _, name, _, _ in opens} == expected, opens
+        modes: dict = {}  # by process and file, in order
+        for pid, name, mode, _ in opens:
+            modes.setdefault((pid, name), []).append(mode)
+        for (_, name), taken in modes.items():  # a process starts a named file at its first row
+            assert taken == ["ab" if name == "tail" else "wb"] + ["ab"] * (len(taken) - 1), opens
+        blocks = -(-n // (cli._SIGNALS_BLOCK // 5))
+        if files == 1 or blocks == 1:
+            assert {len(taken) for taken in modes.values()} == {1}, opens
+        assert max(map(len, modes.values())) <= blocks
+
+    # 40 files of 2 blocks each under a limit of 16 descriptors: a process that kept
+    # each file it writes open across blocks would run out of them.
+    @pytest.mark.skipif(sys.platform == "win32", reason="sets a POSIX resource limit")
+    def test_many_multi_block_files_under_a_low_descriptor_limit(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        script = (
+            "import resource, sys\n"
+            "import fracsrc.cli as cli\n"
+            "if sys.argv[1] == 'limited':\n"
+            "    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+            "    resource.setrlimit(resource.RLIMIT_NOFILE, (16, hard))\n"
+            "cli._cpu_count = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        written = []
+        for limit in ("limited", "unlimited"):
+            out = tmp_path / limit
+            # 40 files of 2048 rows, 1,433 rows a formatter call: 2 blocks each
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-c", script, limit, "run",
+                 "--example", "1", "--n", "2048", "--eps", "0.1,0.01", "--seeds", "20",
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(written[0]) == 42
+        assert written[0] == written[1]
 
     # sha256 of every file of this run, taken from the row-at-a-time writer
     # before the signals files were written in blocks
@@ -1157,8 +1205,8 @@ class TestFormatter:
 
     def test_writer_memory_does_not_grow_with_the_files(self, tmp_path, monkeypatch):
         # files of 256 rows, the ex1-sweep shape, written by this process alone: a file
-        # is opened at its first row and closed after its last, so the up to 32 files
-        # of a group, each with its own write buffer, are never open at once
+        # is closed when the next one opens, so no two files, each with its own write
+        # buffer, are open at once
         monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
         cli._tables()
         n, peaks = 256, []
@@ -1177,9 +1225,9 @@ class TestFormatter:
         assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
     # ex1-sweep's shape, 100 files of 256 rows with 4 own columns, in one process: one
-    # call formats a file's own columns, and one the shared columns of each group of
-    # _OPEN_FILES files, at the old block and the module's (None).  So the block's size
-    # does not reach this shape, and a larger block costs it no memory.
+    # call formats a file's own columns, and one the shared columns of every file, at
+    # the old block and the module's (None).  So the block's size does not reach this
+    # shape, and a larger block costs it no memory.
     @pytest.mark.parametrize("block", [1536, None])
     def test_one_formatter_call_per_file_at_the_sweep_shape(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
@@ -1197,8 +1245,7 @@ class TestFormatter:
         shared = [np.arange(n) * (10 / n), rng.normal(size=n), rng.normal(size=n)]
         own = [[rng.normal(size=n) for _ in range(4)] for _ in range(files)]
         cli._write_signals([tmp_path / f"{f}.csv" for f in range(files)], "h\n", shared, own)
-        groups = -(-files // cli._OPEN_FILES)
-        assert sorted(shapes) == [(n, 3)] * groups + [(n, 4)] * files
+        assert sorted(shapes) == [(n, 3)] + [(n, 4)] * files
 
 
 # every system call the signals writer makes
