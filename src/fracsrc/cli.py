@@ -293,10 +293,13 @@ def _format(values: np.ndarray) -> np.ndarray:
     np.floor_divide(quads[1::2], 10 ** 4, out=quads[::2])
     quads[1::2] -= quads[::2] * 10 ** 4
     e += lead // 10  # where the 17 digits round up to 10**17
-    sig = tables["sig"].take(quads)  # + 8 j: 2 s, s the digits up to group j's last nonzero one
-    sig += np.arange(0, 32, 8)[:, None]
-    t = tables["layout"].take(e) + sig.max(axis=0, initial=2) + (x < 0)
-    del sig, d
+    sig = np.full(d.size, 2)  # max over groups j of 2 s + 8 j, s the digits up to group j's
+    for j, group in enumerate(quads):  # last nonzero one
+        top = tables["sig"].take(group)
+        top += 8 * j
+        np.maximum(sig, top, out=sig)
+    t = tables["layout"].take(e) + sig + (x < 0)
+    del sig, top, d
     out = tables["template"].take(t, axis=0)
     words = out.view(np.uint64)
     out.view(np.uint32)[:, 1] &= tables["lead"].take(lead)  # bytes 4..7; "1" where lead is 10
@@ -474,6 +477,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         errors.setdefault((r.epsilon, r.filter), []).append(r.rel_err)
     summary = [{"epsilon": epsilon, **{label: sum(errors[epsilon, label]) / len(cfg.seed_ids)
                                        for label in summary_labels}} for epsilon in cfg.eps_list]
+    for entry in summary:  # a level's rows and their means, in level order
+        level = [r for r in rows if r.epsilon == entry["epsilon"]]
+        scores = [r.rel_err for r in level] + [r.theory_bound for r in level if r.mu is not None]
+        if not all(map(math.isfinite, scores + list(entry.values()))):
+            raise ConfigError(f"the errors overflow at noise level {entry['epsilon']:g}: rel_err "
+                              f"or theory_bound is not finite for {cfg.params} on {grid}")
 
     signal_paths = [cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv" for cell in cells]
     files = [cfg.out_dir / "errors.csv", cfg.out_dir / "summary.csv", *signal_paths]

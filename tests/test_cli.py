@@ -291,6 +291,19 @@ class TestMainExitCodes:
             (["--pad", str(2**1100)], None, 2, "error: n and pad:"),
             (["--filters", "naive,r1,naive"], None, 2,
              "error: filter labels must be distinct, got ('naive', 'r1', 'naive')\n"),
+            # the errors, about 1e158 ||f||, overflow l2_norm's sum of squares; at 1e308
+            # the bound overflows as well
+            (["--nu", "1e160"], None, 2, "error: the errors overflow at noise level 0.1: "
+             "rel_err or theory_bound is not finite for MediumParams(omega=0.1, beta=0.9, "
+             "nu=1e+160, alpha=0.9, x0=0.5) on TimeGrid(n=8, t_max=10.0)\n"),
+            (["--nu", "1e308"], None, 2, "error: the errors overflow at noise level 0.1: "
+             "rel_err or theory_bound is not finite for MediumParams(omega=0.1, beta=0.9, "
+             "nu=1e+308, alpha=0.9, x0=0.5) on TimeGrid(n=8, t_max=10.0)\n"),
+            # delta, about 1.1e154, is finite, but the naive error overflows: the level is named
+            (["--eps", "0.1,3e153", "--filters", "naive"], None, 2,
+             "error: the errors overflow at noise level 3e+153: rel_err or theory_bound is not "
+             "finite for MediumParams(omega=0.1, beta=0.9, nu=1.0, alpha=0.9, x0=0.5) on "
+             "TimeGrid(n=8, t_max=10.0)\n"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, monkeypatch, capsys, flags, config,

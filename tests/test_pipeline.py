@@ -422,7 +422,7 @@ class TestSweep:
         def no_draws(*args):
             raise AssertionError("noise drawn before the labels were checked")
 
-        monkeypatch.setattr(pipeline, "_draw", no_draws)
+        monkeypatch.setattr(pipeline, "_normals", no_draws)
         message = re.escape("unknown filter 'R1'; choose from naive, r1, r2, r3")
         with pytest.raises(ValueError, match=message):
             if entry == "run_sweep":
@@ -492,8 +492,7 @@ class TestSweep:
         cells = [(i_eps, seed_id) for i_eps in range(levels) for seed_id in seed_ids]
         seeds = pipeline._cell_seeds(master, levels, seed_ids)
         assert seeds == [cell_seed(master, i_eps, seed_id) for i_eps, seed_id in cells]
-        assert [np.random.PCG64(words).state for words in pipeline._pcg_words(seeds)] == [
-            np.random.default_rng(seed).bit_generator.state for seed in seeds]
+        assert _kernel_states(pipeline._pcg_states(seeds)) == _numpy_states(seeds)
         grid = TimeGrid(8, 10.0)
         f = preset_source("square", grid)
         eps_list = (0.1, 0.0, 1e-3)[:levels]
@@ -514,44 +513,116 @@ class TestSweep:
         # a sweep's seeds fit in 64 bits; longer rng seeds hash past the pool, each
         # column with its own word count, in one call
         seeds = [0, 5, 2**32 + 1, 2**64 + 3, 2**100, 2**128 + 9, 2**200 + 1]
-        words = pipeline._pcg_words(seeds)
-        assert [np.random.PCG64(row).state for row in words] == [
-            np.random.default_rng(seed).bit_generator.state for seed in seeds]
-        for seed, row in zip(seeds, words):
-            assert pipeline._draw(row, 0.1, 8).tobytes() == (
-                np.random.default_rng(seed).normal(0.0, 0.1, 8).tobytes()), seed
+        states = pipeline._pcg_states(seeds)
+        assert _kernel_states(states) == _numpy_states(seeds)
+        zero = RealSignal(TimeGrid(8, 10.0), np.zeros(8))  # add_noise's noise, as it is
+        for seed, row in zip(seeds, pipeline._normals(states, 0.1, 8)):
+            assert row.tobytes() == add_noise(zero, NoiseSpec(0.1, seed))[0].samples.tobytes()
         y = synthesize_data(square, EX1)
         cell = run_cell(square, y, EX1, 1.0, 0.1, 0, 2**130 + 7, ("naive",), 1.0)
         noisy, _ = add_noise(y, NoiseSpec(0.1, 2**130 + 7))
         assert cell.y_noisy.samples.tobytes() == noisy.samples.tobytes()
 
-    def test_import_loads_no_numpy_random(self):
-        # _pcg_words registers _Hashed with numpy.random on first use, so that an
-        # import, which every run's setup pays, does not load it
+    def test_import_loads_no_numpy_random(self, tmp_path):
+        # the noise kernel draws what numpy.random would, so neither an import, which
+        # every run's setup pays, nor a ``python -m fracsrc`` run or a library sweep loads
+        # it, or the OpenSSL binding that it loads through secrets
         env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).resolve().parents[1]))
-        code = 'import fracsrc, sys; assert "numpy.random" not in sys.modules'
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_unregistered_hashed_words_are_refused(self):
-        # PCG64 hashes an unregistered tuple as entropy and seeds another stream;
-        # a _Hashed, built before _pcg_words registers its class, must raise instead
-        env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).resolve().parents[1]))
+        argv = ["fracsrc", "run", "--example", "1", "--n", "64", "--seeds", "4", "--eps", "0.1",
+                "--out", str(tmp_path / "out")]
         code = (
-            "import numpy as np\n"
-            "from fracsrc import pipeline\n"
-            "words = pipeline._Hashed(pipeline._hash([[12345]], 4)[0])\n"
+            "import runpy, sys\n"
+            "import fracsrc\n"
+            "unwanted = {'numpy.random', 'secrets', 'hmac', '_hashlib'}\n"
+            "assert not unwanted & set(sys.modules), unwanted & set(sys.modules)\n"
+            f"sys.argv = {argv!r}\n"
             "try:\n"
-            "    np.random.PCG64(words)\n"
-            "except TypeError:\n"
-            "    pass\n"
-            "else:\n"
-            "    raise SystemExit('PCG64 took unregistered words')\n"
+            "    runpy.run_module('fracsrc', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "grid = fracsrc.TimeGrid(64, 10.0)\n"
+            "medium = fracsrc.MediumParams(omega=0.01, beta=0.5, nu=1.51, alpha=0.3, x0=10.0)\n"
+            "cells = fracsrc.run_sweep(fracsrc.preset_source('exp', grid), medium, 2.0,\n"
+            "                          (0.1, 0.0), (0, 2**40), ('naive', 'r1'), 7)\n"
+            "assert len(cells) == 4\n"
+            "assert not unwanted & set(sys.modules), unwanted & set(sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "errors.csv").is_file()
+
+
+def _numpy_states(seeds):
+    """(state, inc) of each seed's ``default_rng``."""
+    states = [np.random.default_rng(seed).bit_generator.state["state"] for seed in seeds]
+    return [(state["state"], state["inc"]) for state in states]
+
+
+def _kernel_states(states):
+    """(state, inc) of each ``_pcg_states`` row, as Python integers."""
+    return [(int(a) << 64 | int(b), int(c) << 64 | int(d)) for a, b, c, d in states]
+
+
+class TestNoiseKernel:
+    # pipeline._normals against NumPy's own draw, default_rng(seed).normal(0.0, sigma, n)
+
+    @pytest.mark.parametrize("n, rows", [(8, 1000), (256, 100), (65536, 4)])
+    def test_rows_are_numpys_bit_for_bit(self, n, rows):
+        # 1,179,648 draws over the three cases; sigma = 1e300 overflows nowhere, and
+        # neither it nor sigma = 0 may raise a RuntimeWarning
+        seeds = [n * 1000 + k for k in range(rows)]
+        states = pipeline._pcg_states(seeds)
+        assert _kernel_states(states) == _numpy_states(seeds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in (0.0, 1e-5, 0.1, 1e300):
+                drawn = pipeline._normals(states, sigma, n)
+                assert drawn.shape == (rows, n)
+                for seed, row in zip(seeds, drawn):
+                    expected = np.random.default_rng(seed).normal(0.0, sigma, n)
+                    assert row.tobytes() == expected.tobytes(), (seed, sigma)
+                if sigma == 0.0:
+                    assert drawn.tobytes() == bytes(drawn.nbytes)  # +0.0 in every sample
+
+    def test_draws_cover_the_tail_and_both_wedge_outcomes(self):
+        # A row's first draw that the fast test rejects starts an attempt: everything
+        # before it was accepted one draw each.  Classify it from NumPy's raw stream.
+        limit, signed, _ = pipeline._zig_tables()
+        seeds, n = range(2000), 256
+        drawn = pipeline._normals(pipeline._pcg_states(list(seeds)), 1.0, n)
+        tails = wedge_kept = wedge_dropped = 0
+        for seed, row in zip(seeds, drawn):
+            assert row.tobytes() == np.random.default_rng(seed).normal(0.0, 1.0, n).tobytes()
+            tails += np.count_nonzero(np.abs(row) > 3.6541528853610088)
+            raw = np.random.default_rng(seed).bit_generator.random_raw(n)
+            low = (raw & 511).astype(np.intp)
+            magnitude = (raw >> 9 & (1 << 52) - 1).astype(float)
+            rejected = np.flatnonzero(magnitude + 2.0 ** 52 >= limit[low])
+            if rejected.size and low[rejected[0]] & 255:  # a wedge
+                q = rejected[0]
+                kept = row[q] == magnitude[q] * signed[low[q]]
+                wedge_kept += kept
+                wedge_dropped += not kept
+        assert tails and wedge_kept and wedge_dropped, (tails, wedge_kept, wedge_dropped)
+
+    def test_a_row_continues_past_its_chunk(self, monkeypatch):
+        # two blocks of 32 positions a pass: every row of 256 values takes several
+        # passes, and some attempt needs a draw past its pass, so its row stops early
+        steps = []
+
+        def advance(state, count):
+            steps.append(count)
+            advance_row(state, count)
+
+        advance_row = pipeline._advance
+        monkeypatch.setattr(pipeline, "_CHUNK", 64)
+        monkeypatch.setattr(pipeline, "_advance", advance)
+        seeds = list(range(100, 300))
+        drawn = pipeline._normals(pipeline._pcg_states(seeds), 0.1, 256)
+        for seed, row in zip(seeds, drawn):
+            assert row.tobytes() == np.random.default_rng(seed).normal(0.0, 0.1, 256).tobytes()
+        assert len(steps) >= 3 * len(seeds) and min(steps) < 64 == max(steps), steps
 
 
 def test_a_sweep_holds_no_tables_after_it_returns():
