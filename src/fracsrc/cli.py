@@ -185,6 +185,12 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
+def _mean(value: float) -> str:
+    """A summary mean with 4 decimals, or in exponent form where that is over 24 characters."""
+    fixed = f"{value:.4f}"
+    return fixed if len(fixed) <= 24 else f"{value:.4e}"
+
+
 def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
     """Stream a header and rows of formatted fields to ``path``."""
     with path.open("w") as fh:
@@ -714,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
 
     labels = list(report.summary[0])[1:]
     table = [["epsilon", *labels]] + [
-        [f"{entry['epsilon']:g}", *(f"{entry[label]:.4f}" for label in labels)]
+        [f"{entry['epsilon']:g}", *(_mean(entry[label]) for label in labels)]
         for entry in report.summary
     ]
     widths = [max(10, *map(len, column)) for column in zip(*table)]

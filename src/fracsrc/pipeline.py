@@ -16,14 +16,17 @@ same bytes, and no run loads ``numpy.random``.  ``cell_seed``, ``add_noise``
 and ``default_rng`` are the tested reference.
 
 The sweep scores a noise level as arrays, a row per cell: one stack of noisy
-measurements, one forward transform, then per estimator one gain table and
-one inverse transform, and errors one per row.  The per-cell results, views
-of those rows, are built on return; ``run_cell`` is the same code on one row.
+measurements, one forward transform, then per estimator one gain and one
+in-place inverse transform in the level's one complex workspace, and errors
+one per row.  The per-cell results, views of those rows, are built on return;
+``run_cell`` is the same code on one row.
 
 ``_measure`` puts what every level of a sweep shares in one ``_Run`` record: the
 source, ``y`` and the source's Sobolev norm from its one transform, the settings,
-and the read-only ``Lambda`` and ``G(x0, .)`` tables on the grid's bins, sampled
-once per run; each one-shot call samples its own, and no module-level store keeps any.
+and the read-only ``xi`` and ``Lambda`` tables on the grid's bins, sampled once per
+run; ``G(x0, .)`` is dropped once ``y`` is synthesized.  The symbols are evaluated
+on the n/2 + 1 bins 0 ... n/2 and mirrored.  Each one-shot call samples its own
+tables, and no module-level store keeps any.
 ``_score``, the one judge of which rows can be scored, takes a record and each
 row's noise to ``delta``, ``mu`` and bounds; a level it refuses is ``_Unscorable``.
 """
@@ -41,18 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .regularize import FilterKind, RegParams, attenuation, choose_mu, const_m
-from .spectral import (
-    RealSignal,
-    Spectrum,
-    TimeGrid,
-    _row_views,
-    apply_multiplier,
-    dft,
-    hp_norm,
-    idft,
-    l2_norm,
-    multiplier_values,
-)
+from .spectral import RealSignal, Spectrum, TimeGrid, _inverse, _row_views, dft, hp_norm, l2_norm
 from .symbols import MediumParams, symbol_tables
 
 __all__ = [
@@ -141,21 +133,39 @@ class _Tables(NamedTuple):
 
     xi: np.ndarray
     inverse: np.ndarray  # Lambda
-    kernel: np.ndarray  # G(x0, .)
+    kernel: np.ndarray | None  # G(x0, .); a run's record drops it once y is synthesized
 
 
 def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
-    """Sample one (medium, grid)'s tables; ValueError if Lambda or G is not finite or G is 0."""
+    """Sample one (medium, grid)'s tables; ValueError if Lambda or G is not finite or G is 0.
+
+    ``symbol_tables`` is evaluated on bins 0 ... n/2 only.  Bin n - k sits at
+    ``-xi_k`` exactly, where the pinned branch gives each symbol the exact
+    conjugate, so it is filled with the conjugate of bin k.  The Nyquist bin
+    gets its modulus, as ``multiplier_values`` gives it.
+    """
+    half = grid.n // 2
     with np.errstate(all="ignore"):
         xi = grid.frequencies()
-        inverse, kernel = symbol_tables(xi, params)
-        tables = _Tables(xi, multiplier_values(grid, inverse), multiplier_values(grid, kernel))
-    if not (np.isfinite(tables.inverse).all() and np.isfinite(tables.kernel).all()
-            and tables.kernel.all()):
+        inverse, kernel = symbol_tables(xi[:half + 1], params)
+        inverse = _mirrored(inverse, grid.n)  # each half table dies as its full one is made
+        kernel = _mirrored(kernel, grid.n)
+    if not (np.isfinite(inverse).all() and np.isfinite(kernel).all() and kernel.all()):
         raise ValueError(f"Lambda or G(x0, .) is not finite and nonzero for {params} on {grid}")
+    tables = _Tables(xi, inverse, kernel)
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _mirrored(values: np.ndarray, n: int) -> np.ndarray:
+    """The ``n``-bin table of a symbol from its bins 0 ... n/2, with a real Nyquist gain."""
+    half = n // 2
+    table = np.empty(n, complex)
+    table[:half + 1] = values
+    np.conjugate(values[half - 1:0:-1], out=table[half + 1:])
+    table[half] = abs(table[half])
+    return table
 
 
 def synthesize_data(f: RealSignal, params: MediumParams) -> RealSignal:
@@ -164,8 +174,12 @@ def synthesize_data(f: RealSignal, params: MediumParams) -> RealSignal:
 
 
 def _synthesize(f_hat: Spectrum, kernel: np.ndarray) -> RealSignal:
-    """``synthesize_data`` of the source whose transform is ``f_hat``, through ``kernel``."""
-    return idft(apply_multiplier(f_hat, kernel))
+    """``synthesize_data`` of the source whose transform is ``f_hat``, through ``kernel``.
+
+    The product and its inverse transform are made in one new buffer.
+    """
+    product = f_hat.coeffs * kernel
+    return _inverse(Spectrum(f_hat.grid, product), product)
 
 
 def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
@@ -182,13 +196,21 @@ def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
 
 
 def _invert(
-    spectrum: Spectrum, tables: _Tables, kind: FilterKind | None = None, mu=None
+    spectrum: Spectrum,
+    tables: _Tables,
+    kind: FilterKind | None = None,
+    mu=None,
+    work: np.ndarray | None = None,
 ) -> RealSignal:
-    """Apply ``Lambda``, or the ``kind`` filter at ``mu`` (a column for a stack), and invert."""
-    gain = tables.inverse if kind is None else tables.inverse * attenuation(kind, tables.xi, mu)
-    filtered = apply_multiplier(spectrum, gain)
-    del gain  # one complex stack, as large as idft's own buffer: not alive while idft allocates
-    return idft(filtered)
+    """Apply ``Lambda``, or the ``kind`` filter at ``mu`` (a column for a stack), and invert.
+
+    The gain, the product and its inverse transform are made in ``work``, new if not given.
+    """
+    gain = tables.inverse
+    if kind is not None:
+        gain = work = np.multiply(gain, attenuation(kind, tables.xi, mu), out=work)
+    product = np.multiply(spectrum.coeffs, gain, out=work)
+    return _inverse(Spectrum(spectrum.grid, product), product)
 
 
 def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:
@@ -549,7 +571,7 @@ def _measure(
         c_bound = float(hp_norm(f_hat, p))
     tables = _tables(params, f_true.grid)
     y = _synthesize(f_hat, tables.kernel)  # the n complex bins die on return
-    return _Run(f_true, y, c_bound, params, p, filters, tables)
+    return _Run(f_true, y, c_bound, params, p, filters, tables._replace(kernel=None))
 
 
 def _score(run: _Run, noise_sq: list[float] | np.ndarray) -> tuple[list, list, list, dict]:
@@ -606,13 +628,14 @@ def _run_cells(
     except ValueError as exc:
         raise _Unscorable(epsilon, exc) from exc
     spectrum = dft(y_noisy)
+    work = np.empty(stack.shape, complex)  # the level's: each estimator's gain, then product
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
     if "naive" in run.filters:
-        estimate = _invert(spectrum, run.tables)
+        estimate = _invert(spectrum, run.tables, work=work)
         none = [None] * len(seeds)
         columns["naive"] = (estimate, none, relative_error(estimate, run.f_true).tolist(), none)
     for kind, bound in bounds.items():
-        estimate = _invert(spectrum, run.tables, kind, np.array(mu)[:, None])
+        estimate = _invert(spectrum, run.tables, kind, np.array(mu)[:, None], work)
         columns[kind.value] = (estimate, mu, relative_error(estimate, run.f_true).tolist(), bound)
     y_noisy = _row_views(y_noisy)
     estimates = {label: _row_views(column[0]) for label, column in columns.items()}
@@ -648,7 +671,8 @@ def run_cell(
     a bound on the absolute L2 error with ``c_bound`` standing in for the
     source's Sobolev norm.  This is the sweep's scoring code on a one-cell stack.
     """
-    run = _Run(f_true, y, c_bound, params, p, filters, _tables(params, y.grid))
+    tables = _tables(params, y.grid)._replace(kernel=None)  # y is given: G(x0, .) is not used
+    run = _Run(f_true, y, c_bound, params, p, filters, tables)
     return _run_cells(run, epsilon, [(seed_id, rng_seed)], _pcg_states([rng_seed]))[0]
 
 

@@ -114,13 +114,22 @@ def attenuation(kind: FilterKind, xi: np.ndarray, mu: float) -> np.ndarray:
 
     The array form of the factor inside :func:`filter_value`, which stays the
     scalar reference.  Real and in ``[0, 1]``, so multiplying a sampled
-    ``Lambda`` by it keeps a real Nyquist gain real.
+    ``Lambda`` by it keeps a real Nyquist gain real.  ``mu`` may be a column,
+    one parameter per row.  The factor is made in one array, in place.
     """
+    factor = np.empty(np.broadcast(mu, xi).shape)
+    if kind is FilterKind.GAUSSIAN:
+        np.multiply(-mu * mu, xi, out=factor)
+        factor *= xi
+        factor /= 4.0
+        return np.exp(factor, out=factor)
     if kind is FilterKind.RATIONAL2:
-        return 1.0 / (1.0 + mu * mu * xi * xi)
-    if kind is FilterKind.RATIONAL4:
-        return 1.0 / (1.0 + mu * mu * xi**4)
-    return np.exp(-mu * mu * xi * xi / 4.0)
+        np.multiply(mu * mu, xi, out=factor)
+        factor *= xi
+    else:
+        np.multiply(mu * mu, xi**4, out=factor)
+    factor += 1.0
+    return np.divide(1.0, factor, out=factor)
 
 
 def choose_mu(delta: float, delta_max: float, p: float) -> float:

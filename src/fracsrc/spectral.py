@@ -22,6 +22,14 @@ exactly inverse to each other through a forward/backward round trip.
 Signals and spectra may be stacks of rows along the last axis, shape
 ``(rows, n)``: the transforms, the norms and the symmetry guard act on each
 row on its own, and give each row the same bits as a one-row call.
+
+Both transforms run in place on one complex buffer of their own: :func:`dft`
+copies the samples into a new complex buffer, transforms it with
+``np.fft.fft(c, out=c)`` and scales it in place; :func:`idft` transforms into a
+new buffer, scales it in place, and writes the samples into the float buffer
+that first held the guard's ``|c|^2``.  Neither touches its argument.
+``_inverse`` is :func:`idft` for a caller that owns the spectrum's buffer and
+may have it overwritten, so no second complex buffer is needed.
 """
 
 from __future__ import annotations
@@ -147,7 +155,10 @@ def _row_views(stack: RealSignal) -> list[RealSignal]:
 def dft(signal: RealSignal) -> Spectrum:
     """Forward transform, ``coeffs = dt / sqrt(2 pi) * FFT(samples)``."""
     scale = signal.grid.dt / math.sqrt(2.0 * math.pi)
-    return Spectrum(signal.grid, scale * np.fft.fft(signal.samples))
+    coeffs = signal.samples.astype(complex)
+    np.fft.fft(coeffs, out=coeffs)
+    coeffs *= scale
+    return Spectrum(signal.grid, coeffs)
 
 
 def idft(spectrum: Spectrum) -> RealSignal:
@@ -158,10 +169,23 @@ def idft(spectrum: Spectrum) -> RealSignal:
     which happens whenever its coefficients are not Hermitian.  The samples
     are a copy, so they do not hold the complex buffer.
     """
-    scale = math.sqrt(2.0 * math.pi) / spectrum.grid.dt
-    values = scale * np.fft.ifft(spectrum.coeffs)
-    residual = np.max(np.abs(values.imag), axis=-1)
-    norm = np.sqrt(spectrum.grid.dxi * np.sum(np.abs(spectrum.coeffs) ** 2, axis=-1))
+    return _inverse(spectrum)
+
+
+def _inverse(spectrum: Spectrum, values: np.ndarray | None = None) -> RealSignal:
+    """:func:`idft` with the complex transform in ``values``, new if not given.
+
+    ``values`` may be ``spectrum.coeffs``, which is then overwritten.  The
+    samples' buffer holds ``|c|^2`` for the norm first, then ``|Im|`` for the
+    residue, then the real parts.
+    """
+    grid, coeffs = spectrum.grid, spectrum.coeffs
+    samples = np.abs(coeffs)
+    np.square(samples, out=samples)
+    norm = np.sqrt(grid.dxi * np.sum(samples, axis=-1))
+    values = np.fft.ifft(coeffs, out=values)
+    values *= math.sqrt(2.0 * math.pi) / grid.dt
+    residual = np.max(np.abs(values.imag, out=samples), axis=-1)
     broken = residual > _IMAG_GUARD * norm
     if np.any(broken):
         row = np.argmax(broken)  # the first broken row
@@ -169,7 +193,8 @@ def idft(spectrum: Spectrum) -> RealSignal:
             f"imaginary residue {residual.flat[row]:.3e} exceeds {_IMAG_GUARD:g} * "
             f"spectrum norm {norm.flat[row]:.3e}; coefficients are not Hermitian"
         )
-    return RealSignal(spectrum.grid, values.real.copy())
+    np.copyto(samples, values.real)
+    return RealSignal(grid, samples)
 
 
 def l2_norm(signal: RealSignal) -> float | np.ndarray:

@@ -148,19 +148,33 @@ def symbol_tables(xi: np.ndarray, params: MediumParams) -> tuple[np.ndarray, np.
     """``inverse_symbol`` and ``forward_kernel(x0, .)`` over an array of frequencies.
 
     Both tables come from one evaluation of ``z``, ``h`` and ``exp(-h x0)``
-    on the pinned branch.  They agree with the scalar functions to rounding,
-    not bit for bit: NumPy's complex square root, exponential and division
-    round differently from :mod:`cmath`'s.
+    on the pinned branch, chained in place through two complex buffers.  They
+    agree with the scalar functions to rounding, not bit for bit: NumPy's
+    complex square root, exponential and division round differently from
+    :mod:`cmath`'s.
     """
     xi = np.asarray(xi, dtype=float)
     half = 0.5 * params.alpha * math.pi
-    mag = np.abs(xi) ** params.alpha
-    im = mag * math.sin(half)
-    z = (params.nu + mag * math.cos(half)) + 1j * np.where(xi < 0.0, -im, im)
-    radicand = params.beta * params.beta + 4.0 * params.omega * z
-    h = (-params.beta + np.sqrt(radicand)) / (2.0 * params.omega)
-    gap = 1.0 - np.exp(-h * params.x0)
-    return z / gap, gap / z
+    z = np.empty(xi.shape, complex)
+    mag = np.abs(xi)
+    mag **= params.alpha
+    im = np.multiply(mag, math.sin(half), out=z.imag)
+    np.negative(im, out=im, where=xi < 0.0)
+    im += 0.0  # as ``1j * im`` gives it: a -0.0 becomes +0.0
+    np.multiply(mag, math.cos(half), out=z.real)
+    del mag
+    z.real += params.nu
+    h = np.multiply(4.0 * params.omega, z)  # the radicand, then h, then the gap
+    h += params.beta * params.beta
+    np.sqrt(h, out=h)
+    h += -params.beta
+    h /= 2.0 * params.omega
+    np.negative(h, out=h)
+    h *= params.x0
+    np.exp(h, out=h)
+    gap = np.subtract(1.0, h, out=h)
+    inverse = z / gap
+    return inverse, np.divide(gap, z, out=z)
 
 
 def decay_exponent(params: MediumParams) -> float:

@@ -48,6 +48,21 @@ polls_children = pytest.mark.skipif(
 )
 
 
+def simd_dispatch() -> str:
+    """NumPy's version and the AVX-512 features it dispatches to on this CPU.
+
+    Pinned output bytes hold for one NumPy build on one SIMD dispatch: with the
+    AVX-512 loops disabled, some float results differ in their last bits.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return f"numpy {np.__version__}, CPU features unknown"
+    on = [name for name, enabled in __cpu_features__.items()
+          if enabled and ("AVX512" in name or name == "X86_V4")]
+    return f"numpy {np.__version__}, enabled AVX-512 features: {' '.join(on) or 'none'}"
+
+
 def sample_at(signal, t):
     times = signal.grid.times()
     index = int(round(t / signal.grid.dt))
@@ -418,6 +433,17 @@ class TestMainExitCodes:
 
         assert [ends(line) for line in rows] == [ends(header)] * 2  # each value under its header
 
+    def test_summary_table_bounds_large_means(self, tmp_path, capsys):
+        # each filter's mean is about 7e152, a 160-digit number in fixed notation
+        out = tmp_path / "out"
+        assert main(["run", "--example", "1", "--n", "8", "--seeds", "1", "--eps", "0.1",
+                     "--nu", "1e154", "--out", str(out)]) == 0
+        header, row = capsys.readouterr().out.splitlines()[1:-1]
+        assert len(row) == len(header) <= 10 + 3 * (2 + 24), row
+        means = (out / "summary.csv").read_text().splitlines()[1].split(",")[1:]
+        assert [float(field) for field in row.split()[1:]] == [
+            float(f"{float(mean):.4e}") for mean in means]
+
     def test_summary_labels_are_the_file_labels(self, tmp_path, capsys):
         # levels equal to 3 digits but not to 6 write distinct files, so distinct rows
         out = tmp_path / "out"
@@ -701,13 +727,14 @@ class TestRunExperiment:
         ids=["cli", "cli-t-max-1e300", "cli-t-max-1e-300", "run_sweep", "run_cell"],
     )
     def test_a_run_samples_its_tables_once(self, tmp_path, monkeypatch, entry):
-        # a run's record holds its tables, so none of its stages samples them again
+        # a run's record holds its tables, so none of its stages samples them again;
+        # the symbols are sampled on the n/2 + 1 bins 0 ... n/2, the rest mirror them
         f = preset_source("square", TimeGrid(8, 10.0))
         sampled, real = [], pipeline.symbol_tables
         monkeypatch.setattr(pipeline, "symbol_tables",
                             lambda xi, params: sampled.append(xi.size) or real(xi, params))
         assert entry(tmp_path, f)
-        assert sampled == [8]
+        assert sampled == [5]
 
     def test_report_object(self, tmp_path):
         cfg = ExperimentConfig(
@@ -1062,7 +1089,7 @@ class TestSignalsWriter:
         assert main(["run", *self.SMALL_RUN, "--out", str(tmp_path)]) == 0
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in tmp_path.iterdir()}
-        assert digests == self.SMALL_RUN_SHA256
+        assert digests == self.SMALL_RUN_SHA256, simd_dispatch()
 
     def test_rerun_truncates_longer_files(self, tmp_path):
         run = ["run", "--example", "1", "--eps", "0.1,0.01", "--seeds", "2"]
@@ -1390,7 +1417,7 @@ epsilon,seed,filter,mu,delta,delta_max,rel_err,theory_bound
             "--out", str(tmp_path),
         ])
         assert rc == 0
-        assert (tmp_path / "errors.csv").read_text() == self.GOLDEN_ERRORS
+        assert (tmp_path / "errors.csv").read_text() == self.GOLDEN_ERRORS, simd_dispatch()
 
 
 class TestPackageExports:

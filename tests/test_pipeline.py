@@ -30,8 +30,8 @@ from fracsrc.pipeline import (
     synthesize_data,
 )
 from fracsrc.regularize import FilterKind, RegParams, attenuation, choose_mu, error_bound
-from fracsrc.spectral import RealSignal, TimeGrid, dft, hp_norm, l2_norm
-from fracsrc.symbols import MediumParams, forward_kernel
+from fracsrc.spectral import RealSignal, TimeGrid, dft, hp_norm, l2_norm, multiplier_values
+from fracsrc.symbols import MediumParams, forward_kernel, symbol_tables
 
 EX1 = MediumParams(omega=0.1, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)
 EX2 = MediumParams(omega=0.01, beta=0.5, nu=1.51, alpha=0.3, x0=10.0)
@@ -124,6 +124,23 @@ class TestTables:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape("Lambda or G(x0, .)")):
                 entry(square)
+
+    def test_mirrored_tables_are_the_full_evaluation(self):
+        # the symbols are sampled on bins 0 ... n/2 and mirrored: bit for bit the tables
+        # of a full evaluation, over both presets and 30 random media
+        rng = np.random.default_rng(31)
+        media = [EX1, EX2] + [
+            MediumParams(*rng.uniform(0.01, 5.0, 3), rng.uniform(0.05, 1.0), rng.uniform(0.01, 10))
+            for _ in range(30)
+        ]
+        for params in media:
+            for grid in (TimeGrid(n, t_max) for n in (8, 64, 1024, 8192)
+                         for t_max in (0.37, 10.0, 1000.0)):
+                tables = _tables(params, grid)
+                full = symbol_tables(grid.frequencies(), params)
+                for table, values in zip((tables.inverse, tables.kernel), full):
+                    assert table.tobytes() == multiplier_values(grid, values).tobytes(), (
+                        params, grid)
 
     def test_shared_and_read_only(self):
         tables = _tables(EX1, TimeGrid(256, 10.0))
@@ -646,22 +663,28 @@ def test_a_sweep_holds_no_tables_after_it_returns():
 
 def test_traced_peak_per_bin_of_a_one_cell_run():
     # Example 2 as one cell with all four estimators, as the large benchmark run.
-    # The bounds sit between this code's peaks (about 27 and 145 B per bin here,
-    # 25 and 145 at n = 2^20) and those of a source built from n-long lists and
-    # gain tables alive through the inverse FFT (72.6 and 161.2).
+    # At n = 2^16 and 2^20 the source builds its samples in 25 B per bin, _measure
+    # adds 81 to the source's 8 (xi and the tables, the source's spectrum, the
+    # synthesis's product and its samples) and the whole sweep peaks at 128,
+    # counting the source.  The bounds are those peaks plus a margin of 19 and 2 B
+    # per bin; with full-grid tables and a second complex buffer in every transform
+    # the two peaks were 136 and 145.
     def one_cell(grid):
         f_true = preset_source("exp", grid)
-        source_peak = tracemalloc.get_traced_memory()[1]
+        source_peak, held = tracemalloc.get_traced_memory()[::-1]
         tracemalloc.reset_peak()
-        run_sweep(f_true, EX2, 2.0, (0.1,), (0,), ALL_ESTIMATORS, 12345)
-        return source_peak, tracemalloc.get_traced_memory()[1]  # the sweep's counts f_true
+        run = pipeline._measure(f_true, EX2, 2.0, ALL_ESTIMATORS)
+        measure_peak = tracemalloc.get_traced_memory()[1] - held
+        pipeline._sweep(run, (0.1,), (0,), 12345)
+        return source_peak, measure_peak, tracemalloc.get_traced_memory()[1]
 
     one_cell(GRID)  # one-time allocations, such as lazy imports, are not per bin
     n = 1 << 16
     tracemalloc.start()
     try:
-        source_peak, sweep_peak = one_cell(TimeGrid(n, 10.0))
+        source_peak, measure_peak, sweep_peak = one_cell(TimeGrid(n, 10.0))
     finally:
         tracemalloc.stop()
     assert source_peak / n <= 32.0
-    assert sweep_peak / n <= 150.0
+    assert measure_peak / n <= 100.0
+    assert sweep_peak / n <= 130.0

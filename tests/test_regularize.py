@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fracsrc.regularize import (
     FilterKind,
     RegParams,
+    attenuation,
     choose_mu,
     const_cap_n,
     const_m,
@@ -17,6 +18,7 @@ from fracsrc.regularize import (
     filter_factor_gap,
     filter_value,
 )
+from fracsrc.spectral import TimeGrid
 from fracsrc.symbols import MediumParams, inverse_symbol
 
 EX1 = MediumParams(omega=0.1, beta=0.9, nu=1.0, alpha=0.9, x0=0.5)
@@ -136,6 +138,25 @@ class TestFilterValue:
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
             filter_value(FilterKind.RATIONAL2, 1.0, 0.0, EX1)
+
+
+class TestAttenuation:
+    EXPRESSIONS = {
+        FilterKind.RATIONAL2: lambda xi, mu: 1.0 / (1.0 + mu * mu * xi * xi),
+        FilterKind.RATIONAL4: lambda xi, mu: 1.0 / (1.0 + mu * mu * xi**4),
+        FilterKind.GAUSSIAN: lambda xi, mu: np.exp(-mu * mu * xi * xi / 4.0),
+    }
+
+    @pytest.mark.parametrize("kind", list(FilterKind))
+    @pytest.mark.parametrize("mu", [0.37, np.array([[1e-3], [0.5], [0.999]])])
+    def test_in_place_factor_is_the_expression_and_keeps_its_arguments(self, kind, mu):
+        xi = TimeGrid(1024, 10.0).frequencies()
+        kept = xi.tobytes(), np.asarray(mu).tobytes()
+        factor = attenuation(kind, xi, mu)
+        assert (xi.tobytes(), np.asarray(mu).tobytes()) == kept
+        expected = self.EXPRESSIONS[kind](xi, mu)
+        assert factor.shape == expected.shape
+        assert factor.tobytes() == expected.tobytes()
 
 
 class TestInequalitySuites:

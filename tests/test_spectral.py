@@ -119,6 +119,18 @@ class TestTransforms:
         with pytest.raises(SymmetryError):
             idft(Spectrum(GRID, perturbed))
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_transforms_keep_their_arguments(self, rows):
+        # dft and idft transform and scale buffers of their own, in place
+        samples = np.stack([random_signal(seed=s).samples for s in range(rows)])
+        kept = samples.tobytes()
+        spectrum = dft(RealSignal(GRID, samples))
+        assert samples.tobytes() == kept
+        kept = spectrum.coeffs.tobytes()
+        back = idft(spectrum)
+        assert spectrum.coeffs.tobytes() == kept
+        assert np.allclose(back.samples, samples, rtol=0.0, atol=1e-12)
+
     def test_inverse_samples_own_their_memory(self):
         # a view into the complex inverse would keep twice the estimate alive
         assert idft(dft(random_signal(seed=23))).samples.flags.owndata
@@ -229,6 +241,13 @@ class TestMultipliers:
         forward = apply_multiplier(dft(signal), multiplier_values(GRID, symbol))
         back = idft(apply_multiplier(forward, multiplier_values(GRID, 1.0 / symbol)))
         assert np.max(np.abs(back.samples - signal.samples)) < 1e-12
+
+    def test_table_keeps_its_values(self):
+        values = 2.0 + 1j * GRID.frequencies()
+        kept = values.tobytes()
+        table = multiplier_values(GRID, values)
+        assert values.tobytes() == kept
+        assert table[GRID.n // 2] == abs(values[GRID.n // 2])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

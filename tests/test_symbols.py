@@ -196,6 +196,24 @@ class TestSymbolTables:
             )
             assert np.all(np.abs(table[~normal]) < np.finfo(float).tiny)
 
+    @pytest.mark.parametrize("params", [EX1, EX2, MediumParams(3.0, 0.02, 4.5, 1.0, 0.05)])
+    @pytest.mark.parametrize("n, t_max", [(8, 0.37), (256, 10.0), (4096, 1000.0)])
+    def test_in_place_chain_is_the_expressions_bit_for_bit(self, params, n, t_max):
+        # the chain of in-place ufuncs rounds as the plain expressions do, and keeps xi
+        xi = TimeGrid(n, t_max).frequencies()
+        kept = xi.tobytes()
+        inverse, kernel = symbol_tables(xi, params)
+        assert xi.tobytes() == kept
+        half = 0.5 * params.alpha * math.pi
+        mag = np.abs(xi) ** params.alpha
+        im = mag * math.sin(half)
+        z = (params.nu + mag * math.cos(half)) + 1j * np.where(xi < 0.0, -im, im)
+        radicand = params.beta * params.beta + 4.0 * params.omega * z
+        h = (-params.beta + np.sqrt(radicand)) / (2.0 * params.omega)
+        gap = 1.0 - np.exp(-h * params.x0)
+        assert inverse.tobytes() == (z / gap).tobytes()
+        assert kernel.tobytes() == (gap / z).tobytes()
+
     def test_sensor_values(self):
         inverse, kernel = symbol_tables(np.array([0.0]), EX1)
         assert_close(inverse[0], 2.541494082536798)
