@@ -473,6 +473,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         cells = _sweep(run, cfg.eps_list, cfg.seed_ids, cfg.master_seed)
     except _Unscorable as exc:
         raise ConfigError(f"eps: noise level {exc.epsilon:g} is too large to score: {exc}") from exc
+    y = run.y
+    del run  # its xi and Lambda tables: nothing after the sweep reads them
     rows = tuple(row for cell in cells for row in cell.rows)
     # naive first in errors and signals, as run_cell orders estimates; last in summary
     selected = list(cells[0].estimates)
@@ -512,7 +514,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _write_signals(
             signal_paths,
             ",".join(["t", "f_true", "y", "y_noisy"] + [f"f_{label}" for label in selected]) + "\n",
-            [grid.times(), f_true.samples, run.y.samples],  # the same in every file
+            [grid.times(), f_true.samples, y.samples],  # the same in every file
             [[cell.y_noisy.samples] + [cell.estimates[label].samples for label in selected]
              for cell in cells],
         )

@@ -18,8 +18,11 @@ and ``default_rng`` are the tested reference.
 The sweep scores a noise level as arrays, a row per cell: one stack of noisy
 measurements, one forward transform, then per estimator one gain and one
 in-place inverse transform in the level's one complex workspace, and errors
-one per row.  The per-cell results, views of those rows, are built on return;
-``run_cell`` is the same code on one row.
+one per row.  The last estimator builds its gain in the workspace, forms its
+product in the spectrum's own buffer and frees the workspace before its
+inverse transform, so a one-estimator level allocates none.  The per-cell
+results, views of those rows, are built on return; ``run_cell`` is the same
+code on one row.
 
 ``_measure`` puts what every level of a sweep shares in one ``_Run`` record: the
 source, ``y`` and the source's Sobolev norm from its one transform, the settings,
@@ -195,21 +198,24 @@ def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
     return noisy, delta
 
 
-def _invert(
-    spectrum: Spectrum,
-    tables: _Tables,
-    kind: FilterKind | None = None,
-    mu=None,
-    work: np.ndarray | None = None,
-) -> RealSignal:
-    """Apply ``Lambda``, or the ``kind`` filter at ``mu`` (a column for a stack), and invert.
+def _gain(
+    tables: _Tables, kind: FilterKind | None, mu=None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """``Lambda``, or ``Lambda`` times the ``kind`` filter at ``mu`` (a column for a stack).
 
-    The gain, the product and its inverse transform are made in ``work``, new if not given.
+    A filtered gain is made in ``work``, new if not given.
     """
-    gain = tables.inverse
-    if kind is not None:
-        gain = work = np.multiply(gain, attenuation(kind, tables.xi, mu), out=work)
-    product = np.multiply(spectrum.coeffs, gain, out=work)
+    if kind is None:
+        return tables.inverse
+    return np.multiply(tables.inverse, attenuation(kind, tables.xi, mu), out=work)
+
+
+def _invert(spectrum: Spectrum, gain: np.ndarray, work: np.ndarray | None = None) -> RealSignal:
+    """The inverse transform of ``spectrum`` times ``gain``, made in ``work``.
+
+    Without ``work`` the product overwrites the spectrum's own buffer.
+    """
+    product = np.multiply(spectrum.coeffs, gain, out=spectrum.coeffs if work is None else work)
     return _inverse(Spectrum(spectrum.grid, product), product)
 
 
@@ -218,7 +224,7 @@ def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:
 
     Exact on noise-free data; amplifies high-frequency noise otherwise.
     """
-    return _invert(dft(y_noisy), _tables(params, y_noisy.grid))
+    return _invert(dft(y_noisy), _gain(_tables(params, y_noisy.grid), None))
 
 
 def invert_regularized(
@@ -231,7 +237,7 @@ def invert_regularized(
 ) -> tuple[RealSignal, float]:
     """Filtered inversion with the a priori parameter rule; returns (estimate, mu)."""
     mu = choose_mu(delta, delta_max, p)
-    return _invert(dft(y_noisy), _tables(params, y_noisy.grid), kind, mu), mu
+    return _invert(dft(y_noisy), _gain(_tables(params, y_noisy.grid), kind, mu)), mu
 
 
 def relative_error(f_est: RealSignal, f_true: RealSignal) -> float | np.ndarray:
@@ -397,7 +403,7 @@ def _jumps(chunk: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the rows ``M^(_JUMP q)``, ``S_(_JUMP q)`` for ``q < chunk / _JUMP``, then ``S_k``
     for ``k = 1 ... _JUMP``, as one ``(4, 2 chunk / _JUMP + _JUMP)`` array; and ``M^k``
-    for ``k = 1 ... _JUMP`` repeated to ``chunk`` positions.
+    for ``k = 1 ... _JUMP``, which broadcasts over a pass's jumps.
     """
     mult, total, steps = 1, 0, []
     for _ in range(_JUMP):
@@ -408,7 +414,7 @@ def _jumps(chunk: int) -> tuple[np.ndarray, np.ndarray]:
         starts.append((m, t))
         m, t = m * mult & _MASK128, (t * mult + total) & _MASK128
     far = [m for m, _ in starts] + [t for _, t in starts] + [t for _, t in steps]
-    return _limbs(far), np.tile(_limbs([m for m, _ in steps]), chunk // _JUMP)
+    return _limbs(far), _limbs([m for m, _ in steps])
 
 
 def _pcg_block(states: np.ndarray, blocks: int) -> np.ndarray:
@@ -431,16 +437,14 @@ def _pcg_block(states: np.ndarray, blocks: int) -> np.ndarray:
     bh, bl, ch, cl = np.empty((4, rows, blocks, _JUMP), np.uint64)
     bh[...], bl[...] = hi_q[:, :, None], lo_q[:, :, None]
     ch[...], cl[...] = hi[:, None, 2 * blocks:], lo[:, None, 2 * blocks:]
-    size = rows * blocks * _JUMP
-    hi, lo = _mul_add(near[:, :size], bh.reshape(-1), bl.reshape(-1), ch.reshape(-1),
-                      cl.reshape(-1))
+    hi, lo = _mul_add(near, bh, bl, ch, cl)
     del bh, bl, ch, cl
     out = np.bitwise_xor(hi, lo, out=lo)
     np.right_shift(hi, 58, out=hi)
     spill = out << (64 - hi)
     out >>= hi
     out |= spill
-    return out
+    return out.reshape(-1)
 
 
 def _ziggurat(draws: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, list, dict]:
@@ -628,15 +632,26 @@ def _run_cells(
     except ValueError as exc:
         raise _Unscorable(epsilon, exc) from exc
     spectrum = dft(y_noisy)
-    work = np.empty(stack.shape, complex)  # the level's: each estimator's gain, then product
+    kinds = [None] * ("naive" in run.filters) + list(bounds)  # None: naive
+    # the level's workspace holds each estimator's gain, then its product; the last
+    # product takes the spectrum's own buffer, so one estimator needs no workspace
+    work = np.empty(stack.shape, complex) if len(kinds) > 1 else None
+    mus = np.array(mu)[:, None]
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
-    if "naive" in run.filters:
-        estimate = _invert(spectrum, run.tables, work=work)
-        none = [None] * len(seeds)
-        columns["naive"] = (estimate, none, relative_error(estimate, run.f_true).tolist(), none)
-    for kind, bound in bounds.items():
-        estimate = _invert(spectrum, run.tables, kind, np.array(mu)[:, None], work)
-        columns[kind.value] = (estimate, mu, relative_error(estimate, run.f_true).tolist(), bound)
+    for i, kind in enumerate(kinds):
+        gain = _gain(run.tables, kind, mus, work)
+        if i < len(kinds) - 1:
+            estimate = _invert(spectrum, gain, work)
+        else:  # the workspace is freed before the last inverse transform
+            np.multiply(spectrum.coeffs, gain, out=spectrum.coeffs)
+            gain = work = None
+            estimate = _inverse(spectrum, spectrum.coeffs)
+        rel_err = relative_error(estimate, run.f_true).tolist()
+        if kind is None:
+            none = [None] * len(seeds)
+            columns["naive"] = (estimate, none, rel_err, none)
+        else:
+            columns[kind.value] = (estimate, mu, rel_err, bounds[kind])
     y_noisy = _row_views(y_noisy)
     estimates = {label: _row_views(column[0]) for label, column in columns.items()}
     return [

@@ -26,8 +26,10 @@ row on its own, and give each row the same bits as a one-row call.
 Both transforms run in place on one complex buffer of their own: :func:`dft`
 copies the samples into a new complex buffer, transforms it with
 ``np.fft.fft(c, out=c)`` and scales it in place; :func:`idft` transforms into a
-new buffer, scales it in place, and writes the samples into the float buffer
-that first held the guard's ``|c|^2``.  Neither touches its argument.
+new buffer and scales it in place, and only then makes the samples' float
+buffer, which first holds ``|x|^2`` of the transformed values for the guard's
+norm (the spectrum's, by Parseval), so no buffer of its own is idle under the
+transform.  Neither touches its argument.
 ``_inverse`` is :func:`idft` for a caller that owns the spectrum's buffer and
 may have it overwritten, so no second complex buffer is needed.
 """
@@ -176,15 +178,17 @@ def _inverse(spectrum: Spectrum, values: np.ndarray | None = None) -> RealSignal
     """:func:`idft` with the complex transform in ``values``, new if not given.
 
     ``values`` may be ``spectrum.coeffs``, which is then overwritten.  The
-    samples' buffer holds ``|c|^2`` for the norm first, then ``|Im|`` for the
-    residue, then the real parts.
+    samples' buffer is made after the transform: it holds ``|x|^2`` of the
+    transformed values first, whose ``sqrt(dt sum |x|^2)`` is the spectrum's
+    norm ``sqrt(dxi sum |c|^2)`` by Parseval, then ``|Im|`` for the residue,
+    then the real parts.
     """
-    grid, coeffs = spectrum.grid, spectrum.coeffs
-    samples = np.abs(coeffs)
-    np.square(samples, out=samples)
-    norm = np.sqrt(grid.dxi * np.sum(samples, axis=-1))
-    values = np.fft.ifft(coeffs, out=values)
+    grid = spectrum.grid
+    values = np.fft.ifft(spectrum.coeffs, out=values)
     values *= math.sqrt(2.0 * math.pi) / grid.dt
+    samples = np.abs(values)
+    np.square(samples, out=samples)
+    norm = np.sqrt(grid.dt * np.sum(samples, axis=-1))  # the spectrum's, by Parseval
     residual = np.max(np.abs(values.imag, out=samples), axis=-1)
     broken = residual > _IMAG_GUARD * norm
     if np.any(broken):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from fracsrc.spectral import (
     Spectrum,
     SymmetryError,
     TimeGrid,
+    _inverse,
     apply_multiplier,
     dft,
     hp_norm,
@@ -119,6 +122,16 @@ class TestTransforms:
         with pytest.raises(SymmetryError):
             idft(Spectrum(GRID, perturbed))
 
+    def test_guard_message_names_the_residue_and_the_spectrum_norm(self):
+        # the guard takes the norm from the transformed values, by Parseval
+        coeffs = dft(random_signal(seed=11)).coeffs.copy()
+        coeffs[1] += 0.01
+        norm = math.sqrt(GRID.dxi * float(np.sum(np.abs(coeffs) ** 2)))
+        expected = r"^imaginary residue \d\.\d{3}e[-+]\d+ " + re.escape(
+            f"exceeds 1e-08 * spectrum norm {norm:.3e}; coefficients are not Hermitian") + "$"
+        with pytest.raises(SymmetryError, match=expected):
+            idft(Spectrum(GRID, coeffs))
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_transforms_keep_their_arguments(self, rows):
         # dft and idft transform and scale buffers of their own, in place
@@ -130,6 +143,27 @@ class TestTransforms:
         back = idft(spectrum)
         assert spectrum.coeffs.tobytes() == kept
         assert np.allclose(back.samples, samples, rtol=0.0, atol=1e-12)
+
+    def test_each_transform_peaks_at_its_one_new_buffer(self):
+        # dft's one n-point buffer is its complex output, 16 B per bin; _inverse, given
+        # the buffer to transform in, makes only the samples' float buffer, 8 B per bin.
+        # The margins, 4 and 2 B per bin, hold the finiteness checks' masks (2 and 1 B
+        # per bin).  dft as scale * np.fft.fft(samples) peaks at 32 B per bin.
+        n = 1 << 16
+        signal = random_signal(TimeGrid(n, 10.0))
+        idft(dft(random_signal()))  # one-time allocations are not a transform's
+        tracemalloc.start()
+        try:
+            spectrum = dft(signal)
+            dft_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _inverse(spectrum, spectrum.coeffs)
+            inverse_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert dft_peak / n <= 20.0
+        assert inverse_peak / n <= 10.0
 
     def test_inverse_samples_own_their_memory(self):
         # a view into the complex inverse would keep twice the estimate alive
