@@ -18,8 +18,9 @@ consistency guard fires (a :class:`SymmetryError` or another library
 scores the least-noise row of ``pipeline._measure``'s record before any noise,
 then names the level whose drawn rows ``_sweep`` refuses, before any file.
 With more than one CPU, a forked child writes the signals rows from one past
-the middle and then a completion mark; without the mark, or with no child (the
-fork failing too), the run writes them.  Both processes format the signals
+the middle and then a completion mark, on the CPUs the run may use other than
+the one it ran on at the fork; without the mark, or with no child (the fork
+failing too), the run writes them.  Both processes format the signals
 floats with NumPy into the bytes of ``"%.17g"``, and hand to ``"%.17g"`` itself
 the values they cannot place: zeros, magnitudes outside [1e-280, 1e280], and
 near-ties at the 17th digit.  Under glibc, :func:`main` first sets malloc's
@@ -373,6 +374,16 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _this_cpu() -> int:
+    """The CPU this process runs on, or -1 (the C library's ``sched_getcpu``; Linux)."""
+    try:
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):
+        return -1
+    getcpu.argtypes, getcpu.restype = (), ctypes.c_int
+    return getcpu()
+
+
 def _reap(pid: int, stop: bool) -> None:
     """Wait until the forked child ``pid`` has ended, killing it first if ``stop``.
 
@@ -398,6 +409,9 @@ def _write_signals(
 
     With more than one CPU on Linux, a forked child writes the rows from one past
     the middle, always inside a file, and this process the rows before.  The child
+    first leaves the CPU this process ran on at the fork, for the others it may use:
+    where the kernel does not balance the processes' CPUs, it would otherwise share
+    that one CPU with this process for as long as both write.  The child
     writes that file's rows to an anonymous file's descriptor, left open, and then
     appends a NUL, which no row holds: a mark that a lost exit status (SIGCHLD
     ignored) does not lose.  This process appends the anonymous file less the
@@ -415,6 +429,7 @@ def _write_signals(
         if sys.platform == "linux" and _cpu_count() > 1:  # fork, memfd_create, sendfile to a file
             try:  # either failing leaves no child, and this process writes every row
                 tail = os.memfd_create("signals-tail")
+                cpu = _this_cpu()
                 with warnings.catch_warnings():
                     # numpy's BLAS threads make Python >= 3.12 warn; the child calls none
                     warnings.simplefilter("ignore", DeprecationWarning)
@@ -424,6 +439,10 @@ def _write_signals(
             if pid == 0:  # the child: no atexit handler runs, no inherited buffer is flushed
                 status = 1
                 try:
+                    try:  # a child starts on its parent's CPU, and may stay there
+                        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+                    except OSError:  # such as no other CPU: it runs where it is
+                        pass
                     paths = [*paths[:split // n], tail, *paths[split // n + 1:]]
                     _write_rows(split, total, paths, *args)
                     os.write(tail, b"\0")
@@ -474,7 +493,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     except _Unscorable as exc:
         raise ConfigError(f"eps: noise level {exc.epsilon:g} is too large to score: {exc}") from exc
     y = run.y
-    del run  # its xi and Lambda tables: nothing after the sweep reads them
+    del run  # its Lambda table: nothing after the sweep reads it
     rows = tuple(row for cell in cells for row in cell.rows)
     # naive first in errors and signals, as run_cell orders estimates; last in summary
     selected = list(cells[0].estimates)

@@ -26,10 +26,12 @@ code on one row.
 
 ``_measure`` puts what every level of a sweep shares in one ``_Run`` record: the
 source, ``y`` and the source's Sobolev norm from its one transform, the settings,
-and the read-only ``xi`` and ``Lambda`` tables on the grid's bins, sampled once per
-run; ``G(x0, .)`` is dropped once ``y`` is synthesized.  The symbols are evaluated
-on the n/2 + 1 bins 0 ... n/2 and mirrored.  Each one-shot call samples its own
-tables, and no module-level store keeps any.
+and the read-only ``Lambda`` table on the grid's n/2 + 1 bins 0 ... n/2, sampled
+once per run; ``G(x0, .)`` is dropped once ``y`` is synthesized.  An n-bin gain
+exists only while its product needs it: ``_gain`` mirrors the half table into the
+level's workspace and multiplies it there by the filter factor, whose frequencies
+it makes for that gain.  Each one-shot call samples its own tables, and no
+module-level store keeps any.
 ``_score``, the one judge of which rows can be scored, takes a record and each
 row's noise to ``delta``, ``mu`` and bounds; a level it refuses is ``_Unscorable``.
 """
@@ -132,9 +134,8 @@ class CellResult:
 
 
 class _Tables(NamedTuple):
-    """Read-only tables on one grid's bins for one medium."""
+    """Read-only tables on one grid's bins 0 ... n/2 for one medium; ``_mirrored`` gives the rest."""
 
-    xi: np.ndarray
     inverse: np.ndarray  # Lambda
     kernel: np.ndarray | None  # G(x0, .); a run's record drops it once y is synthesized
 
@@ -144,30 +145,32 @@ def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
 
     ``symbol_tables`` is evaluated on bins 0 ... n/2 only.  Bin n - k sits at
     ``-xi_k`` exactly, where the pinned branch gives each symbol the exact
-    conjugate, so it is filled with the conjugate of bin k.  The Nyquist bin
-    gets its modulus, as ``multiplier_values`` gives it.
+    conjugate, so these bins determine every n-bin table.  The Nyquist bin
+    holds its modulus, as ``multiplier_values`` gives it, so the check sees
+    every value of the n-bin tables, a modulus that overflows too.
     """
     half = grid.n // 2
     with np.errstate(all="ignore"):
-        xi = grid.frequencies()
-        inverse, kernel = symbol_tables(xi[:half + 1], params)
-        inverse = _mirrored(inverse, grid.n)  # each half table dies as its full one is made
-        kernel = _mirrored(kernel, grid.n)
+        tables = _Tables(*symbol_tables(grid.frequencies()[:half + 1], params))
+        for table in tables:
+            table[half] = abs(table[half])
+    inverse, kernel = tables
     if not (np.isfinite(inverse).all() and np.isfinite(kernel).all() and kernel.all()):
         raise ValueError(f"Lambda or G(x0, .) is not finite and nonzero for {params} on {grid}")
-    tables = _Tables(xi, inverse, kernel)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _mirrored(values: np.ndarray, n: int) -> np.ndarray:
-    """The ``n``-bin table of a symbol from its bins 0 ... n/2, with a real Nyquist gain."""
-    half = n // 2
-    table = np.empty(n, complex)
-    table[:half + 1] = values
-    np.conjugate(values[half - 1:0:-1], out=table[half + 1:])
-    table[half] = abs(table[half])
+def _mirrored(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The n-bin table of a ``_tables`` table in each row of ``out``, new if not given.
+
+    Bins 0 ... n/2 are ``values``, and bin n - k is the conjugate of bin k.
+    """
+    half = len(values) - 1
+    table = np.empty(2 * half, complex) if out is None else out
+    table[..., :half + 1] = values
+    np.conjugate(values[half - 1:0:-1], out=table[..., half + 1:])
     return table
 
 
@@ -179,10 +182,11 @@ def synthesize_data(f: RealSignal, params: MediumParams) -> RealSignal:
 def _synthesize(f_hat: Spectrum, kernel: np.ndarray) -> RealSignal:
     """``synthesize_data`` of the source whose transform is ``f_hat``, through ``kernel``.
 
-    The product and its inverse transform are made in one new buffer.
+    The product and its inverse transform overwrite ``f_hat``'s buffer; the
+    n-bin kernel is gone before the transform.
     """
-    product = f_hat.coeffs * kernel
-    return _inverse(Spectrum(f_hat.grid, product), product)
+    np.multiply(f_hat.coeffs, _mirrored(kernel), out=f_hat.coeffs)
+    return _inverse(f_hat, f_hat.coeffs)
 
 
 def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
@@ -199,15 +203,21 @@ def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
 
 
 def _gain(
-    tables: _Tables, kind: FilterKind | None, mu=None, work: np.ndarray | None = None
+    tables: _Tables, grid: TimeGrid, kind: FilterKind | None, mu=None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """``Lambda``, or ``Lambda`` times the ``kind`` filter at ``mu`` (a column for a stack).
 
-    A filtered gain is made in ``work``, new if not given.
+    The gain is made in ``work``, new if not given: ``Lambda`` mirrored onto the
+    grid's n bins, then the filter factor on the grid's own frequencies.  r2's
+    factor (``xi**4``) is not bitwise even, so it is not mirrored.
     """
-    if kind is None:
-        return tables.inverse
-    return np.multiply(tables.inverse, attenuation(kind, tables.xi, mu), out=work)
+    if work is None:
+        work = np.empty((np.shape(mu)[:-1] if kind else ()) + (grid.n,), complex)
+    gain = _mirrored(tables.inverse, work)
+    if kind is not None:
+        gain *= attenuation(kind, grid.frequencies(), mu)
+    return gain
 
 
 def _invert(spectrum: Spectrum, gain: np.ndarray, work: np.ndarray | None = None) -> RealSignal:
@@ -224,7 +234,7 @@ def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:
 
     Exact on noise-free data; amplifies high-frequency noise otherwise.
     """
-    return _invert(dft(y_noisy), _gain(_tables(params, y_noisy.grid), None))
+    return _invert(dft(y_noisy), _gain(_tables(params, y_noisy.grid), y_noisy.grid, None))
 
 
 def invert_regularized(
@@ -237,7 +247,8 @@ def invert_regularized(
 ) -> tuple[RealSignal, float]:
     """Filtered inversion with the a priori parameter rule; returns (estimate, mu)."""
     mu = choose_mu(delta, delta_max, p)
-    return _invert(dft(y_noisy), _gain(_tables(params, y_noisy.grid), kind, mu)), mu
+    grid = y_noisy.grid
+    return _invert(dft(y_noisy), _gain(_tables(params, grid), grid, kind, mu)), mu
 
 
 def relative_error(f_est: RealSignal, f_true: RealSignal) -> float | np.ndarray:
@@ -574,7 +585,7 @@ def _measure(
     with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
         c_bound = float(hp_norm(f_hat, p))
     tables = _tables(params, f_true.grid)
-    y = _synthesize(f_hat, tables.kernel)  # the n complex bins die on return
+    y = _synthesize(f_hat, tables.kernel)  # in f_hat's buffer, which hp_norm has read
     return _Run(f_true, y, c_bound, params, p, filters, tables._replace(kernel=None))
 
 
@@ -639,7 +650,7 @@ def _run_cells(
     mus = np.array(mu)[:, None]
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
     for i, kind in enumerate(kinds):
-        gain = _gain(run.tables, kind, mus, work)
+        gain = _gain(run.tables, run.y.grid, kind, mus, work)
         if i < len(kinds) - 1:
             estimate = _invert(spectrum, gain, work)
         else:  # the workspace is freed before the last inverse transform

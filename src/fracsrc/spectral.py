@@ -180,15 +180,22 @@ def _inverse(spectrum: Spectrum, values: np.ndarray | None = None) -> RealSignal
     ``values`` may be ``spectrum.coeffs``, which is then overwritten.  The
     samples' buffer is made after the transform: it holds ``|x|^2`` of the
     transformed values first, whose ``sqrt(dt sum |x|^2)`` is the spectrum's
-    norm ``sqrt(dxi sum |c|^2)`` by Parseval, then ``|Im|`` for the residue,
+    norm ``sqrt(dxi sum |c|^2)`` by Parseval (taken over ``|x|`` scaled by each
+    row's largest where ``|x|^2`` overflows), then ``|Im|`` for the residue,
     then the real parts.
     """
     grid = spectrum.grid
     values = np.fft.ifft(spectrum.coeffs, out=values)
     values *= math.sqrt(2.0 * math.pi) / grid.dt
     samples = np.abs(values)
-    np.square(samples, out=samples)
-    norm = np.sqrt(grid.dt * np.sum(samples, axis=-1))  # the spectrum's, by Parseval
+    with np.errstate(over="ignore", invalid="ignore"):  # a zero row scaled reads nan
+        np.square(samples, out=samples)
+        norm = np.sqrt(grid.dt * np.sum(samples, axis=-1))  # the spectrum's, by Parseval
+        if not np.isfinite(norm).all():  # |x|^2 overflowed, and no residue would exceed inf
+            top = np.max(np.abs(values, out=samples), axis=-1, keepdims=True)
+            samples /= top
+            np.square(samples, out=samples)
+            norm = top[..., 0] * np.sqrt(grid.dt * np.sum(samples, axis=-1))
     residual = np.max(np.abs(values.imag, out=samples), axis=-1)
     broken = residual > _IMAG_GUARD * norm
     if np.any(broken):

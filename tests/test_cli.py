@@ -509,7 +509,7 @@ class TestMainExitCodes:
         def rotated_bin(params, grid):
             tables = real_tables(params, grid)
             inverse = tables.inverse.copy()
-            inverse[1] *= 1j  # bin 1 no longer mirrors bin n-1
+            inverse[0] *= 1j  # bin 0 is no longer real; the mirror keeps every other pair Hermitian
             return tables._replace(inverse=inverse)
 
         monkeypatch.setattr(pipeline, "_tables", rotated_bin)
@@ -1039,6 +1039,36 @@ class TestSignalsWriter:
         if files == 1 or blocks == 1:
             assert {len(taken) for taken in modes.values()} == {1}, opens
         assert max(map(len, modes.values())) <= blocks
+
+    # The forked child leaves the CPU its parent ran on at the fork: where the kernel
+    # does not balance the processes' CPUs, the two would otherwise share that one
+    # CPU.  With one CPU allowed the set is empty, the call fails and the child stays.
+    @polls_children
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets a CPU affinity")
+    def test_the_child_writes_off_its_parents_cpu(self, tmp_path, monkeypatch):
+        log, read, real, real_cpu = tmp_path / "affinity", [], os.sched_setaffinity, cli._this_cpu
+        allowed = os.sched_getaffinity(0)
+
+        def logged(pid, cpus):  # the child's call lands in the log
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{os.getpid()} {pid} {sorted(cpus)}\n".encode())
+            finally:
+                os.close(fd)
+            return real(pid, cpus)
+
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_this_cpu", lambda: read.append(real_cpu()) or read[-1])
+        monkeypatch.setattr(os, "sched_setaffinity", logged)
+        n = 64
+        paths = [tmp_path / f"{f}.csv" for f in range(3)]
+        cli._write_signals(paths, "h\n", [np.arange(n) * 0.5] * 3, [[np.ones(n)] * 2] * 3)
+        assert os.sched_getaffinity(0) == allowed
+        calls = [line.split(maxsplit=2) for line in log.read_text().splitlines()]
+        assert len(read) == len(calls) == 1, (read, calls)
+        (pid, target, cpus), = calls
+        assert int(pid) != os.getpid() and target == "0"
+        assert cpus == str(sorted(allowed - {read[0]})) and read[0] in allowed
 
     # 40 files of 2 blocks each under a limit of 16 descriptors: a process that kept
     # each file it writes open across blocks would run out of them.

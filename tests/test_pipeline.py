@@ -17,6 +17,8 @@ import fracsrc.pipeline as pipeline
 from fracsrc.cli import preset_source
 from fracsrc.pipeline import (
     DELTA_FLOOR,
+    _gain,
+    _mirrored,
     _tables,
     NoiseSpec,
     add_noise,
@@ -106,8 +108,9 @@ class TestTables:
     def test_nyquist_gain_of_every_table_is_real(self, params, grid):
         tables = _tables(params, grid)
         half = grid.n // 2
-        filtered = [tables.inverse * attenuation(kind, tables.xi, 0.5) for kind in FilterKind]
-        for table in (tables.inverse, tables.kernel, *filtered):
+        assert all(len(table) == half + 1 for table in tables)
+        filtered = [_gain(tables, grid, kind, 0.5) for kind in FilterKind]
+        for table in (tables.inverse, tables.kernel, _gain(tables, grid, None), *filtered):
             assert table[half].imag == 0.0
             assert table[half].real > 0.0
 
@@ -126,8 +129,9 @@ class TestTables:
                 entry(square)
 
     def test_mirrored_tables_are_the_full_evaluation(self):
-        # the symbols are sampled on bins 0 ... n/2 and mirrored: bit for bit the tables
-        # of a full evaluation, over both presets and 30 random media
+        # the symbols are sampled on bins 0 ... n/2: bit for bit those bins of a full
+        # evaluation's tables, and mirrored bit for bit all of them, over both presets
+        # and 30 random media
         rng = np.random.default_rng(31)
         media = [EX1, EX2] + [
             MediumParams(*rng.uniform(0.01, 5.0, 3), rng.uniform(0.05, 1.0), rng.uniform(0.01, 10))
@@ -138,15 +142,46 @@ class TestTables:
                          for t_max in (0.37, 10.0, 1000.0)):
                 tables = _tables(params, grid)
                 full = symbol_tables(grid.frequencies(), params)
-                for table, values in zip((tables.inverse, tables.kernel), full):
-                    assert table.tobytes() == multiplier_values(grid, values).tobytes(), (
-                        params, grid)
+                for table, values in zip(tables, full):
+                    expected = multiplier_values(grid, values)
+                    assert table.tobytes() == expected[:grid.n // 2 + 1].tobytes(), (params, grid)
+                    assert _mirrored(table).tobytes() == expected.tobytes(), (params, grid)
+
+    @pytest.mark.parametrize("n", [8, 256, 1 << 16])
+    @pytest.mark.parametrize("rows", [None, 20])
+    @pytest.mark.parametrize("kind", [None, *FilterKind], ids=lambda k: getattr(k, "value", "naive"))
+    def test_gain_is_the_mirrored_table_times_the_factor(self, n, rows, kind):
+        # each gain is made in the workspace from the half table and the grid's own
+        # frequencies: bit for bit Lambda on every bin times the factor there, r2's
+        # factor too, which is not bitwise even
+        grid = TimeGrid(n, 10.0)
+        tables = _tables(EX2, grid)
+        mu = 0.3 if rows is None else np.linspace(0.05, 0.95, rows)[:, None]
+        expected = _mirrored(tables.inverse)
+        if kind is not None:
+            expected = expected * attenuation(kind, grid.frequencies(), mu)
+        for work in (None, np.full(np.shape(mu)[:-1] + (n,), np.nan + 1j)):  # new, and a stale one
+            gain = _gain(tables, grid, kind, mu, work)
+            assert work is None or gain is work
+            assert gain.tobytes() == np.broadcast_to(expected, gain.shape).tobytes()
 
     def test_shared_and_read_only(self):
         tables = _tables(EX1, TimeGrid(256, 10.0))
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
+
+    def test_an_overflowed_nyquist_modulus_is_refused(self, monkeypatch):
+        # both parts of the Nyquist bin are finite and its modulus is not: a check of the
+        # complex values alone would let the mirrored gain read inf there
+        def huge_nyquist(xi, params):
+            inverse, kernel = symbol_tables(xi, params)
+            inverse[-1] = 1.5e308 + 1.5e308j
+            return inverse, kernel
+
+        monkeypatch.setattr(pipeline, "symbol_tables", huge_nyquist)
+        with pytest.raises(ValueError, match=re.escape("Lambda or G(x0, .)")):
+            _tables(EX1, GRID)
 
 
 class TestSynthesize:
@@ -664,13 +699,12 @@ def test_a_sweep_holds_no_tables_after_it_returns():
 def test_traced_peak_per_bin_of_a_one_cell_run():
     # Example 2 as one cell with all four estimators, as the large benchmark run.
     # At n = 2^16 and 2^20 the source builds its samples in 25 B per bin, _measure
-    # adds 81 to the source's 8 (xi and the tables, the source's spectrum, the
-    # synthesis's product and its samples) and the whole sweep peaks at 120,
-    # counting the source, at the third estimator's relative_error with the
-    # workspace and three estimates alive.  The bounds are those peaks plus a
-    # margin of 19 and 2 B per bin.  With full-grid tables and a second complex
-    # buffer in every transform the two peaks were 136 and 145; with the workspace
-    # kept through the last estimator the sweep's was 128.
+    # adds 48 to the source's 8 (the source's spectrum, the two half tables and the
+    # mirrored G(x0, .) that the synthesis multiplies the spectrum by) and the whole
+    # sweep peaks at 113 (2^16) and 112 (2^20), counting the source.  The bounds are
+    # those peaks plus a margin of 19 and 2 B per bin.  With full-grid tables and a
+    # second complex buffer in every transform the two peaks were 136 and 145; with
+    # n-bin xi and Lambda tables in the run's record they were 81 and 120.
     def one_cell(grid):
         f_true = preset_source("exp", grid)
         source_peak, held = tracemalloc.get_traced_memory()[::-1]
@@ -688,17 +722,18 @@ def test_traced_peak_per_bin_of_a_one_cell_run():
     finally:
         tracemalloc.stop()
     assert source_peak / n <= 32.0
-    assert measure_peak / n <= 100.0
-    assert sweep_peak / n <= 122.0
+    assert measure_peak / n <= 67.0
+    assert sweep_peak / n <= 115.1
 
 
 def test_traced_live_set_under_each_transform(monkeypatch):
     # NumPy's FFT takes malloc scratch of its own, which tracemalloc does not see, on
     # top of what is live when it runs, so a run's resident peak is set under its
     # transforms.  Example 2 as one cell with all four estimators at n = 2^16: the
-    # most that is live at a transform is 96 B per bin, under the third estimator's
-    # inverse (the source, y, xi and Lambda, 40; the noisy stack, its spectrum and the
-    # workspace, 40; two estimates, 16).  The bound adds a margin of 2.  With the
+    # most that is live at a transform is 80 B per bin, under the third estimator's
+    # inverse (the source, y and Lambda's half table, 24; the noisy stack, its
+    # spectrum and the workspace, 40; two estimates, 16).  The bound adds a margin of
+    # 2.  With n-bin xi and Lambda tables in the run's record it was 96; with the
     # samples' buffer made before each inverse transform and the workspace kept
     # through the last estimator it was 112, under the last.
     live = []
@@ -725,4 +760,4 @@ def test_traced_live_set_under_each_transform(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(live) == 7  # two forward transforms, the source's and the stack's, and five inverse
-    assert max(live) / n <= 98.0
+    assert max(live) / n <= 82.0

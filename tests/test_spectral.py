@@ -132,6 +132,20 @@ class TestTransforms:
         with pytest.raises(SymmetryError, match=expected):
             idft(Spectrum(GRID, coeffs))
 
+    @pytest.mark.parametrize("scale, broken", [(1e150, True), (1e300, True), (1e300, False)])
+    def test_guard_sees_a_norm_whose_square_overflows(self, scale, broken):
+        # at 1e300, sum |x|^2 overflows; the guard's norm must stay finite all the same
+        grid = TimeGrid(8, 10.0)
+        coeffs = np.full(grid.n, scale, complex)
+        coeffs[[1, 2, 3]] *= np.exp([0.5j, 1j, 2j])
+        coeffs[[7, 6, 5]] = coeffs[[1, 2, 3]].conj()
+        if broken:
+            coeffs[1] += scale * 0.1j
+            with pytest.raises(SymmetryError):
+                idft(Spectrum(grid, coeffs))
+        else:
+            assert np.isfinite(idft(Spectrum(grid, coeffs)).samples).all()
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_transforms_keep_their_arguments(self, rows):
         # dft and idft transform and scale buffers of their own, in place
