@@ -134,7 +134,7 @@ class CellResult:
 
 
 class _Tables(NamedTuple):
-    """Read-only tables on one grid's bins 0 ... n/2 for one medium; ``_mirrored`` gives the rest."""
+    """Read-only tables on one grid's bins 0 ... n/2 for one medium; see ``_mirrored``."""
 
     inverse: np.ndarray  # Lambda
     kernel: np.ndarray | None  # G(x0, .); a run's record drops it once y is synthesized

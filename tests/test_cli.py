@@ -509,7 +509,7 @@ class TestMainExitCodes:
         def rotated_bin(params, grid):
             tables = real_tables(params, grid)
             inverse = tables.inverse.copy()
-            inverse[0] *= 1j  # bin 0 is no longer real; the mirror keeps every other pair Hermitian
+            inverse[0] *= 1j  # bin 0 no longer real; the mirror keeps the other pairs Hermitian
             return tables._replace(inverse=inverse)
 
         monkeypatch.setattr(pipeline, "_tables", rotated_bin)

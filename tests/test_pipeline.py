@@ -149,7 +149,7 @@ class TestTables:
 
     @pytest.mark.parametrize("n", [8, 256, 1 << 16])
     @pytest.mark.parametrize("rows", [None, 20])
-    @pytest.mark.parametrize("kind", [None, *FilterKind], ids=lambda k: getattr(k, "value", "naive"))
+    @pytest.mark.parametrize("kind", [None, *FilterKind], ids=["naive", "r1", "r2", "r3"])
     def test_gain_is_the_mirrored_table_times_the_factor(self, n, rows, kind):
         # each gain is made in the workspace from the half table and the grid's own
         # frequencies: bit for bit Lambda on every bin times the factor there, r2's
