@@ -12,11 +12,12 @@ Every run setting is declared once, in :data:`SETTINGS`; its flag, its JSON
 config key and its parsing all come from that entry.  Floats are serialized
 with 17 significant digits, so identical configurations produce
 byte-identical files.  Exit codes: 0 on success, 2 on configuration errors,
-noise levels too loud to score and unwritable outputs, 3 when an internal
-consistency guard fires (a :class:`SymmetryError` or another library
-``ValueError``) or the run does not fit in memory.  :func:`run_experiment`
+noise levels too loud to score, errors that overflow and unwritable outputs,
+3 when an internal consistency guard fires (a :class:`SymmetryError` or another
+library ``ValueError``) or the run does not fit in memory.  :func:`run_experiment`
 scores the least-noise row of ``pipeline._measure``'s record before any noise,
-then names the level whose drawn rows ``_sweep`` refuses, before any file.
+then reports the first level, in level order, that ``_sweep`` refuses: its drawn
+rows or its errors cannot be scored.  No file is written before that.
 With more than one CPU, a forked child writes the signals rows from one past
 the middle and then a completion mark, on the CPUs the run may use other than
 the one it ran on at the fork; without the mark, or with no child (the fork
@@ -488,10 +489,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                                       f"with t_max = {cfg.t_max:g} and n = {cfg.n}") from exc
             reason = f"its H^p norm overflows at p = {cfg.p:g}"
         raise ConfigError(f"smoothness order p is too large for this source: {reason}") from exc
-    try:  # every level is scored before any file is written
+    try:  # every level is judged, in level order, before any file is written
         cells = _sweep(run, cfg.eps_list, cfg.seed_ids, cfg.master_seed)
     except _Unscorable as exc:
-        raise ConfigError(f"eps: noise level {exc.epsilon:g} is too large to score: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     y = run.y
     del run  # its Lambda table: nothing after the sweep reads it
     rows = tuple(row for cell in cells for row in cell.rows)
@@ -504,12 +505,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         errors.setdefault((r.epsilon, r.filter), []).append(r.rel_err)
     summary = [{"epsilon": epsilon, **{label: sum(errors[epsilon, label]) / len(cfg.seed_ids)
                                        for label in summary_labels}} for epsilon in cfg.eps_list]
-    for entry in summary:  # a level's rows and their means, in level order
-        level = [r for r in rows if r.epsilon == entry["epsilon"]]
-        scores = [r.rel_err for r in level] + [r.theory_bound for r in level if r.mu is not None]
-        if not all(map(math.isfinite, scores + list(entry.values()))):
-            raise ConfigError(f"the errors overflow at noise level {entry['epsilon']:g}: rel_err "
-                              f"or theory_bound is not finite for {cfg.params} on {grid}")
 
     signal_paths = [cfg.out_dir / f"signals_{cell.epsilon:g}_{cell.seed}.csv" for cell in cells]
     files = [cfg.out_dir / "errors.csv", cfg.out_dir / "summary.csv", *signal_paths]

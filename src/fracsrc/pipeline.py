@@ -32,8 +32,11 @@ exists only while its product needs it: ``_gain`` mirrors the half table into th
 level's workspace and multiplies it there by the filter factor, whose frequencies
 it makes for that gain.  Each one-shot call samples its own tables, and no
 module-level store keeps any.
-``_score``, the one judge of which rows can be scored, takes a record and each
-row's noise to ``delta``, ``mu`` and bounds; a level it refuses is ``_Unscorable``.
+``_run_cells`` is the one judge of which levels can be scored.  ``_score`` takes
+a record and each row's noise to ``delta``, ``mu`` and bounds, or refuses the
+rows; then each estimator's errors, its bounds and the errors' sum in seed order
+must be finite.  A refused level raises ``_Unscorable``, a ``ValueError`` that
+names the level, and a sweep stops at the first in level order.
 """
 
 from __future__ import annotations
@@ -133,25 +136,19 @@ class CellResult:
     rows: tuple[ErrorRow, ...]
 
 
-class _Tables(NamedTuple):
-    """Read-only tables on one grid's bins 0 ... n/2 for one medium; see ``_mirrored``."""
+def _tables(params: MediumParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """One (medium, grid)'s ``Lambda`` and ``G(x0, .)``, read-only, on bins 0 ... n/2.
 
-    inverse: np.ndarray  # Lambda
-    kernel: np.ndarray | None  # G(x0, .); a run's record drops it once y is synthesized
-
-
-def _tables(params: MediumParams, grid: TimeGrid) -> _Tables:
-    """Sample one (medium, grid)'s tables; ValueError if Lambda or G is not finite or G is 0.
-
-    ``symbol_tables`` is evaluated on bins 0 ... n/2 only.  Bin n - k sits at
-    ``-xi_k`` exactly, where the pinned branch gives each symbol the exact
-    conjugate, so these bins determine every n-bin table.  The Nyquist bin
-    holds its modulus, as ``multiplier_values`` gives it, so the check sees
-    every value of the n-bin tables, a modulus that overflows too.
+    ValueError if Lambda or G is not finite or G is 0.  ``_mirrored`` makes the
+    n-bin tables: bin n - k sits at ``-xi_k`` exactly, where the pinned branch
+    gives each symbol the exact conjugate, so these bins determine every n-bin
+    table.  The Nyquist bin holds its modulus, as ``multiplier_values`` gives
+    it, so the check sees every value of the n-bin tables, a modulus that
+    overflows too.
     """
     half = grid.n // 2
     with np.errstate(all="ignore"):
-        tables = _Tables(*symbol_tables(grid.frequencies()[:half + 1], params))
+        tables = symbol_tables(grid.frequencies()[:half + 1], params)
         for table in tables:
             table[half] = abs(table[half])
     inverse, kernel = tables
@@ -176,7 +173,7 @@ def _mirrored(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def synthesize_data(f: RealSignal, params: MediumParams) -> RealSignal:
     """Exact measurement at the sensor: ``y`` with ``y_hat = G(x0, .) f_hat``."""
-    return _synthesize(dft(f), _tables(params, f.grid).kernel)
+    return _synthesize(dft(f), _tables(params, f.grid)[1])
 
 
 def _synthesize(f_hat: Spectrum, kernel: np.ndarray) -> RealSignal:
@@ -203,18 +200,18 @@ def add_noise(y: RealSignal, spec: NoiseSpec) -> tuple[RealSignal, float]:
 
 
 def _gain(
-    tables: _Tables, grid: TimeGrid, kind: FilterKind | None, mu=None,
+    inverse: np.ndarray, grid: TimeGrid, kind: FilterKind | None, mu=None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """``Lambda``, or ``Lambda`` times the ``kind`` filter at ``mu`` (a column for a stack).
 
-    The gain is made in ``work``, new if not given: ``Lambda`` mirrored onto the
-    grid's n bins, then the filter factor on the grid's own frequencies.  r2's
-    factor (``xi**4``) is not bitwise even, so it is not mirrored.
+    The gain is made in ``work``, new if not given: the half table ``inverse``
+    mirrored onto the grid's n bins, then the filter factor on the grid's own
+    frequencies.  r2's factor (``xi**4``) is not bitwise even, so it is not mirrored.
     """
     if work is None:
         work = np.empty((np.shape(mu)[:-1] if kind else ()) + (grid.n,), complex)
-    gain = _mirrored(tables.inverse, work)
+    gain = _mirrored(inverse, work)
     if kind is not None:
         gain *= attenuation(kind, grid.frequencies(), mu)
     return gain
@@ -234,7 +231,7 @@ def invert_naive(y_noisy: RealSignal, params: MediumParams) -> RealSignal:
 
     Exact on noise-free data; amplifies high-frequency noise otherwise.
     """
-    return _invert(dft(y_noisy), _gain(_tables(params, y_noisy.grid), y_noisy.grid, None))
+    return _invert(dft(y_noisy), _gain(_tables(params, y_noisy.grid)[0], y_noisy.grid, None))
 
 
 def invert_regularized(
@@ -248,7 +245,7 @@ def invert_regularized(
     """Filtered inversion with the a priori parameter rule; returns (estimate, mu)."""
     mu = choose_mu(delta, delta_max, p)
     grid = y_noisy.grid
-    return _invert(dft(y_noisy), _gain(_tables(params, grid), grid, kind, mu)), mu
+    return _invert(dft(y_noisy), _gain(_tables(params, grid)[0], grid, kind, mu)), mu
 
 
 def relative_error(f_est: RealSignal, f_true: RealSignal) -> float | np.ndarray:
@@ -574,7 +571,7 @@ class _Run(NamedTuple):
     params: MediumParams
     p: float
     filters: tuple[str, ...]
-    tables: _Tables  # of (params, grid)
+    inverse: np.ndarray  # Lambda of (params, grid) on bins 0 ... n/2
 
 
 def _measure(
@@ -584,9 +581,9 @@ def _measure(
     f_hat = dft(f_true)
     with np.errstate(all="ignore"):  # only filtered rows read it, and error_bound checks it
         c_bound = float(hp_norm(f_hat, p))
-    tables = _tables(params, f_true.grid)
-    y = _synthesize(f_hat, tables.kernel)  # in f_hat's buffer, which hp_norm has read
-    return _Run(f_true, y, c_bound, params, p, filters, tables._replace(kernel=None))
+    inverse, kernel = _tables(params, f_true.grid)
+    y = _synthesize(f_hat, kernel)  # in f_hat's buffer, which hp_norm has read
+    return _Run(f_true, y, c_bound, params, p, filters, inverse)
 
 
 def _score(run: _Run, noise_sq: list[float] | np.ndarray) -> tuple[list, list, list, dict]:
@@ -620,11 +617,7 @@ def _score(run: _Run, noise_sq: list[float] | np.ndarray) -> tuple[list, list, l
 
 
 class _Unscorable(ValueError):
-    """A noise level whose drawn rows cannot be scored; ``epsilon`` names it, not the message."""
-
-    def __init__(self, epsilon: float, exc: ValueError) -> None:
-        super().__init__(str(exc))
-        self.epsilon = epsilon
+    """A noise level whose rows cannot be scored; the message names it."""
 
 
 def _run_cells(
@@ -641,7 +634,7 @@ def _run_cells(
         y_noisy = RealSignal(run.y.grid, stack)
         delta, delta_max, mu, bounds = _score(run, noise_sq)
     except ValueError as exc:
-        raise _Unscorable(epsilon, exc) from exc
+        raise _Unscorable(f"eps: noise level {epsilon:g} is too large to score: {exc}") from exc
     spectrum = dft(y_noisy)
     kinds = [None] * ("naive" in run.filters) + list(bounds)  # None: naive
     # the level's workspace holds each estimator's gain, then its product; the last
@@ -650,14 +643,19 @@ def _run_cells(
     mus = np.array(mu)[:, None]
     columns = {}  # label -> (estimate stack, and per cell mu, rel_err, bound)
     for i, kind in enumerate(kinds):
-        gain = _gain(run.tables, run.y.grid, kind, mus, work)
+        gain = _gain(run.inverse, run.y.grid, kind, mus, work)
         if i < len(kinds) - 1:
             estimate = _invert(spectrum, gain, work)
         else:  # the workspace is freed before the last inverse transform
             np.multiply(spectrum.coeffs, gain, out=spectrum.coeffs)
             gain = work = None
             estimate = _inverse(spectrum, spectrum.coeffs)
-        rel_err = relative_error(estimate, run.f_true).tolist()
+        with np.errstate(over="ignore"):  # an overflowed error is refused below
+            rel_err = relative_error(estimate, run.f_true).tolist()
+        # each row's error and bound, and the errors' sum in seed order that the summary divides
+        if not all(map(math.isfinite, rel_err + [sum(rel_err)] + bounds.get(kind, []))):
+            raise _Unscorable(f"the errors overflow at noise level {epsilon:g}: rel_err or "
+                              f"theory_bound is not finite for {run.params} on {run.y.grid}")
         if kind is None:
             none = [None] * len(seeds)
             columns["naive"] = (estimate, none, rel_err, none)
@@ -697,8 +695,8 @@ def run_cell(
     a bound on the absolute L2 error with ``c_bound`` standing in for the
     source's Sobolev norm.  This is the sweep's scoring code on a one-cell stack.
     """
-    tables = _tables(params, y.grid)._replace(kernel=None)  # y is given: G(x0, .) is not used
-    run = _Run(f_true, y, c_bound, params, p, filters, tables)
+    inverse = _tables(params, y.grid)[0]  # y is given: G(x0, .) is not used
+    run = _Run(f_true, y, c_bound, params, p, filters, inverse)
     return _run_cells(run, epsilon, [(seed_id, rng_seed)], _pcg_states([rng_seed]))[0]
 
 

@@ -181,8 +181,8 @@ def _inverse(spectrum: Spectrum, values: np.ndarray | None = None) -> RealSignal
     samples' buffer is made after the transform: it holds ``|x|^2`` of the
     transformed values first, whose ``sqrt(dt sum |x|^2)`` is the spectrum's
     norm ``sqrt(dxi sum |c|^2)`` by Parseval (taken over ``|x|`` scaled by each
-    row's largest where ``|x|^2`` overflows), then ``|Im|`` for the residue,
-    then the real parts.
+    row's largest where ``|x|^2`` overflows or underflows, so that a norm is
+    below 1e-150 or not finite), then ``|Im|`` for the residue, then the real parts.
     """
     grid = spectrum.grid
     values = np.fft.ifft(spectrum.coeffs, out=values)
@@ -191,7 +191,7 @@ def _inverse(spectrum: Spectrum, values: np.ndarray | None = None) -> RealSignal
     with np.errstate(over="ignore", invalid="ignore"):  # a zero row scaled reads nan
         np.square(samples, out=samples)
         norm = np.sqrt(grid.dt * np.sum(samples, axis=-1))  # the spectrum's, by Parseval
-        if not np.isfinite(norm).all():  # |x|^2 overflowed, and no residue would exceed inf
+        if not (np.isfinite(norm) & (norm >= 1e-150)).all():  # |x|^2 overflowed or underflowed
             top = np.max(np.abs(values, out=samples), axis=-1, keepdims=True)
             samples /= top
             np.square(samples, out=samples)

@@ -319,6 +319,17 @@ class TestMainExitCodes:
              "error: the errors overflow at noise level 3e+153: rel_err or theory_bound is not "
              "finite for MediumParams(omega=0.1, beta=0.9, nu=1.0, alpha=0.9, x0=0.5) on "
              "TimeGrid(n=8, t_max=10.0)\n"),
+            # levels are judged in level order: 3e153's errors overflow before 1e300 is drawn
+            (["--eps", "0.1,3e153,1e300", "--filters", "naive"], None, 2,
+             "error: the errors overflow at noise level 3e+153: rel_err or theory_bound is not "
+             "finite for MediumParams(omega=0.1, beta=0.9, nu=1.0, alpha=0.9, x0=0.5) on "
+             "TimeGrid(n=8, t_max=10.0)\n"),
+            # y is about 1e-200 ||f||: |x|^2 underflows in the symmetry guard's norm, which
+            # is then taken over scaled values, so the overflowed errors are named; at
+            # n = 256, unlike n = 8, the transforms leave a rounding residue for the guard
+            (["--nu", "1e200", "--n", "256"], None, 2, "error: the errors overflow at noise "
+             "level 0.1: rel_err or theory_bound is not finite for MediumParams(omega=0.1, "
+             "beta=0.9, nu=1e+200, alpha=0.9, x0=0.5) on TimeGrid(n=256, t_max=10.0)\n"),
         ],
     )
     def test_bad_input_exits_with_one_line(self, tmp_path, monkeypatch, capsys, flags, config,
@@ -507,10 +518,10 @@ class TestMainExitCodes:
         real_tables = pipeline._tables
 
         def rotated_bin(params, grid):
-            tables = real_tables(params, grid)
-            inverse = tables.inverse.copy()
+            inverse, kernel = real_tables(params, grid)
+            inverse = inverse.copy()
             inverse[0] *= 1j  # bin 0 no longer real; the mirror keeps the other pairs Hermitian
-            return tables._replace(inverse=inverse)
+            return inverse, kernel
 
         monkeypatch.setattr(pipeline, "_tables", rotated_bin)
         rc = main(["run", "--example", "1", "--n", "64", "--eps", "0.1", "--seeds", "1",

@@ -106,11 +106,11 @@ class TestTables:
     @pytest.mark.parametrize("params", [EX1, EX2])
     @pytest.mark.parametrize("grid", [GRID, TimeGrid(8, 10.0), TimeGrid(4096, 160.0)])
     def test_nyquist_gain_of_every_table_is_real(self, params, grid):
-        tables = _tables(params, grid)
+        inverse, kernel = _tables(params, grid)
         half = grid.n // 2
-        assert all(len(table) == half + 1 for table in tables)
-        filtered = [_gain(tables, grid, kind, 0.5) for kind in FilterKind]
-        for table in (tables.inverse, tables.kernel, _gain(tables, grid, None), *filtered):
+        assert len(inverse) == len(kernel) == half + 1
+        filtered = [_gain(inverse, grid, kind, 0.5) for kind in FilterKind]
+        for table in (inverse, kernel, _gain(inverse, grid, None), *filtered):
             assert table[half].imag == 0.0
             assert table[half].real > 0.0
 
@@ -155,13 +155,13 @@ class TestTables:
         # frequencies: bit for bit Lambda on every bin times the factor there, r2's
         # factor too, which is not bitwise even
         grid = TimeGrid(n, 10.0)
-        tables = _tables(EX2, grid)
+        inverse, _ = _tables(EX2, grid)
         mu = 0.3 if rows is None else np.linspace(0.05, 0.95, rows)[:, None]
-        expected = _mirrored(tables.inverse)
+        expected = _mirrored(inverse)
         if kind is not None:
             expected = expected * attenuation(kind, grid.frequencies(), mu)
         for work in (None, np.full(np.shape(mu)[:-1] + (n,), np.nan + 1j)):  # new, and a stale one
-            gain = _gain(tables, grid, kind, mu, work)
+            gain = _gain(inverse, grid, kind, mu, work)
             assert work is None or gain is work
             assert gain.tobytes() == np.broadcast_to(expected, gain.shape).tobytes()
 
@@ -468,6 +468,36 @@ class TestSweep:
             assert len(cells) == 1
             with pytest.raises(ValueError, match="c_bound must be a positive finite real"):
                 run_sweep(square, EX1, 1000.0, (0.1,), (0,), ("naive", "r1"), 7)
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "run_cell"])
+    def test_overflowed_errors_are_refused_without_warning(self, entry):
+        # the errors, about 1e158 ||f||, overflow l2_norm's sum of squares on naive and r1
+        grid = TimeGrid(8, 10.0)
+        params = MediumParams(0.1, 0.9, 1e160, 0.9, 0.5)
+        f_true = preset_source("square", grid)
+        message = re.escape("the errors overflow at noise level 0.1: rel_err or theory_bound "
+                            f"is not finite for {params} on {grid}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                if entry == "run_sweep":
+                    run_sweep(f_true, params, 1.0, (0.1,), (0,), ("naive", "r1"), 7)
+                else:
+                    c_bound = float(hp_norm(dft(f_true), 1.0))
+                    y = synthesize_data(f_true, params)
+                    run_cell(f_true, y, params, 1.0, 0.1, 0, 7, ("naive", "r1"), c_bound)
+
+    @pytest.mark.parametrize("eps, reason", [(1e152, "the errors overflow at noise level 1e+152"),
+                                             (1e300, "eps: noise level 1e+300 is too large")])
+    def test_a_refused_level_ends_the_sweep_before_the_next_draw(self, square, monkeypatch,
+                                                                 eps, reason):
+        # levels are judged in level order: once level 0 is refused, level 1 is never drawn
+        draws, real_normals = [], pipeline._normals
+        monkeypatch.setattr(pipeline, "_normals",
+                            lambda *args: draws.append(args[1]) or real_normals(*args))
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            run_sweep(square, EX1, 1.0, (eps, 0.1), (0, 1), ("naive",), 7)
+        assert draws == [eps]
 
     @pytest.mark.parametrize("entry", ["run_sweep", "run_cell"])
     def test_unknown_filter_label_raises_before_any_noise(self, square, entry, monkeypatch):

@@ -132,9 +132,12 @@ class TestTransforms:
         with pytest.raises(SymmetryError, match=expected):
             idft(Spectrum(GRID, coeffs))
 
-    @pytest.mark.parametrize("scale, broken", [(1e150, True), (1e300, True), (1e300, False)])
+    @pytest.mark.parametrize("scale, broken", [(1e150, True), (1e300, True), (1e300, False),
+                                               (1e-200, True), (1e-200, False),
+                                               (1e-300, True), (1e-300, False)])
     def test_guard_sees_a_norm_whose_square_overflows(self, scale, broken):
-        # at 1e300, sum |x|^2 overflows; the guard's norm must stay finite all the same
+        # at 1e300, sum |x|^2 overflows, and at 1e-200 and 1e-300 it underflows to 0; the
+        # guard's norm must stay finite and nonzero all the same
         grid = TimeGrid(8, 10.0)
         coeffs = np.full(grid.n, scale, complex)
         coeffs[[1, 2, 3]] *= np.exp([0.5j, 1j, 2j])
@@ -145,6 +148,14 @@ class TestTransforms:
                 idft(Spectrum(grid, coeffs))
         else:
             assert np.isfinite(idft(Spectrum(grid, coeffs)).samples).all()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300])
+    def test_round_trip_of_a_tiny_signal_passes_the_guard(self, scale):
+        # sum |x|^2 underflows to 0, but the transform's rounding leaves a residue, which
+        # must be measured against the norm of the scaled values, not against 0
+        samples = scale * random_signal(seed=5).samples
+        back = idft(dft(RealSignal(GRID, samples)))
+        assert np.max(np.abs(back.samples - samples)) < 1e-12 * scale
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_transforms_keep_their_arguments(self, rows):
